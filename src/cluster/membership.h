@@ -60,6 +60,14 @@ struct ClusterView {
     return false;
   }
 
+  // Any fill activity on `id`, whatever the arc.
+  bool IsFillingAny(VNodeId id) const {
+    for (const auto& f : filling) {
+      if (f.vnode == id) return true;
+    }
+    return false;
+  }
+
   // Ring over RUNNING virtual nodes — what clients route against.
   HashRing RunningRing() const;
   // Ring over RUNNING + LEAVING (data is still there while leaving drains).

@@ -19,6 +19,16 @@ uint32_t RequestTokenCost(const TokenConfig& cfg, const Request& req) {
   return TokenCost(cfg, req.type);
 }
 
+// Hand a completion to the callback matching the request's shape.
+void Deliver(Request& req, Status status, std::vector<uint8_t> value,
+             std::vector<store::ScanItem> items, const ResponseMeta& meta) {
+  if (req.type == OpType::kScan) {
+    req.scan_callback(std::move(status), std::move(items), meta);
+  } else {
+    req.callback(std::move(status), std::move(value), meta);
+  }
+}
+
 }  // namespace
 
 IoEngine::IoEngine(sim::Simulator& simulator, sim::CpuModel& cpu,
@@ -360,13 +370,7 @@ void IoEngine::Submit(Request req) {
   trace_->Record(sim_.Now(), obs::TraceKind::kOpEnd, config_.node_id, ssd,
                  req.trace_id, static_cast<int64_t>(StatusCode::kOverloaded));
   // `req` was moved into TryPush only on success; on failure it is intact.
-  if (req.type == OpType::kScan) {
-    auto cb = std::move(req.scan_callback);
-    cb(Status::Overloaded("waiting queue full"), {}, meta);
-    return;
-  }
-  auto cb = std::move(req.callback);
-  cb(Status::Overloaded("waiting queue full"), {}, meta);
+  Deliver(req, Status::Overloaded("waiting queue full"), {}, {}, meta);
 }
 
 bool IoEngine::TrySubmitOffload(Request& req) {
@@ -415,23 +419,11 @@ bool IoEngine::TrySubmitOffload(Request& req) {
   trace_->Record(sim_.Now(), obs::TraceKind::kOffloadGet, config_.node_id, ssd,
                  req.trace_id, 0);
   auto shared = std::make_shared<Request>(std::move(req));
+  // Fast-path ops never queue: their service starts at submission.
   ds.FastGet(shared->key, [this, ssd, cost, shared](
                               Status st, std::vector<uint8_t> value) {
-    m_.completed->Inc();
-    PerSsd& ps = *per_ssd_[ssd];
-    ps.active--;
-    const SimTime total = sim_.Now() - shared->enqueued_at;
-    m_.service_us->Record(ToMicros(total));
-    m_.total_us->Record(ToMicros(total));
-    trace_->Record(sim_.Now(), obs::TraceKind::kOpEnd, config_.node_id, ssd,
-                   shared->trace_id, static_cast<int64_t>(st.code()));
-    ps.tokens.Refund(cost);
-    ResponseMeta meta;
-    meta.available_tokens = AvailableTokensFor(ssd, shared->tenant);
-    meta.ssd = ssd;
-    meta.server_time_ns = total;
-    shared->callback(std::move(st), std::move(value), meta);
-    PumpWaiting(ssd);
+    Retire(ssd, cost, shared->enqueued_at, *shared, std::move(st),
+           std::move(value));
   });
   return true;
 }
@@ -452,33 +444,33 @@ void IoEngine::Execute(uint32_t ssd, Request req) {
     case OpType::kGet:
       ds.Get(shared->key, [this, ssd, cost, started, shared](
                               Status st, std::vector<uint8_t> value) {
-        OnComplete(ssd, cost, started, *shared, std::move(st), std::move(value));
+        Retire(ssd, cost, started, *shared, std::move(st), std::move(value));
       });
       break;
     case OpType::kPut:
       ds.Put(shared->key, shared->value, [this, ssd, cost, started, shared](Status st) {
-        OnComplete(ssd, cost, started, *shared, std::move(st), {});
+        Retire(ssd, cost, started, *shared, std::move(st), {});
       });
       break;
     case OpType::kDel:
       ds.Del(shared->key, [this, ssd, cost, started, shared](Status st) {
-        OnComplete(ssd, cost, started, *shared, std::move(st), {});
+        Retire(ssd, cost, started, *shared, std::move(st), {});
       });
       break;
     case OpType::kScan:
       ds.ScanFetch(std::move(shared->scan_snapshot),
                    [this, ssd, cost, started, shared](
                        Status st, std::vector<store::ScanItem> items) {
-                     OnScanComplete(ssd, cost, started, *shared, std::move(st),
-                                    std::move(items));
+                     Retire(ssd, cost, started, *shared, std::move(st), {},
+                            std::move(items));
                    });
       break;
   }
 }
 
-void IoEngine::OnScanComplete(uint32_t ssd, uint32_t cost, SimTime started,
-                              Request& req, Status status,
-                              std::vector<store::ScanItem> items) {
+void IoEngine::Retire(uint32_t ssd, uint32_t cost, SimTime started,
+                      Request& req, Status status, std::vector<uint8_t> value,
+                      std::vector<store::ScanItem> items) {
   m_.completed->Inc();
   PerSsd& p = *per_ssd_[ssd];
   p.active = p.active > 0 ? p.active - 1 : 0;
@@ -488,13 +480,17 @@ void IoEngine::OnScanComplete(uint32_t ssd, uint32_t cost, SimTime started,
   m_.total_us->Record(ToMicros(sim_.Now() - req.enqueued_at));
   trace_->Record(sim_.Now(), obs::TraceKind::kOpEnd, config_.node_id, ssd,
                  req.trace_id, static_cast<int64_t>(status.code()));
+
+  // Tokens refund on retirement; the pool's latency feed happens per raw
+  // device IO in OnRawIo, not here — service time includes store-core
+  // queueing, which must not throttle device admission.
   p.tokens.Refund(cost);
 
   ResponseMeta meta;
   meta.available_tokens = AvailableTokensFor(ssd, req.tenant);
   meta.ssd = ssd;
   meta.server_time_ns = sim_.Now() - req.enqueued_at;
-  req.scan_callback(std::move(status), std::move(items), meta);
+  Deliver(req, std::move(status), std::move(value), std::move(items), meta);
 
   PumpWaiting(ssd);
 }
@@ -527,32 +523,6 @@ void IoEngine::OnRawIo(uint32_t ssd, bool ok, SimTime device_ns) {
     }
     if (config_.on_ssd_failed) config_.on_ssd_failed(ssd);
   }
-}
-
-void IoEngine::OnComplete(uint32_t ssd, uint32_t cost, SimTime started,
-                          Request& req, Status status, std::vector<uint8_t> value) {
-  m_.completed->Inc();
-  PerSsd& p = *per_ssd_[ssd];
-  p.active = p.active > 0 ? p.active - 1 : 0;
-
-  const SimTime service = sim_.Now() - started;
-  m_.service_us->Record(ToMicros(service));
-  m_.total_us->Record(ToMicros(sim_.Now() - req.enqueued_at));
-  trace_->Record(sim_.Now(), obs::TraceKind::kOpEnd, config_.node_id, ssd,
-                 req.trace_id, static_cast<int64_t>(status.code()));
-
-  // Tokens refund on retirement; the pool's latency feed happens per raw
-  // device IO in OnRawIo, not here — service time includes store-core
-  // queueing, which must not throttle device admission.
-  p.tokens.Refund(cost);
-
-  ResponseMeta meta;
-  meta.available_tokens = AvailableTokensFor(ssd, req.tenant);
-  meta.ssd = ssd;
-  meta.server_time_ns = sim_.Now() - req.enqueued_at;
-  req.callback(std::move(status), std::move(value), meta);
-
-  PumpWaiting(ssd);
 }
 
 uint32_t IoEngine::FailedSsdCount() const {

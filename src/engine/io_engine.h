@@ -227,13 +227,16 @@ class IoEngine : public StorageService {
   struct RecoverRun;
 
   void Execute(uint32_t ssd, Request req);
-  void OnComplete(uint32_t ssd, uint32_t cost, SimTime started, Request& req,
-                  Status status, std::vector<uint8_t> value);
-  void OnScanComplete(uint32_t ssd, uint32_t cost, SimTime started, Request& req,
-                      Status status, std::vector<store::ScanItem> items);
+  // Op retirement, the one path every completion takes (point ops, scans
+  // and the offload fast path): counters, latency histograms, the OpEnd
+  // trace, the token refund, the callback with fresh flow-control meta,
+  // then waiting-queue admission. `started` is when execution began.
+  void Retire(uint32_t ssd, uint32_t cost, SimTime started, Request& req,
+              Status status, std::vector<uint8_t> value,
+              std::vector<store::ScanItem> items = {});
   // Per-SSD health latch, fed raw device completion statuses through the
   // BlockDevice io observer (KV-level statuses wrap device errors into
-  // corruption/internal codes, so OnComplete cannot see them).
+  // corruption/internal codes, so Retire cannot see them).
   void OnRawIo(uint32_t ssd, bool ok, SimTime device_latency_ns);
   void PumpWaiting(uint32_t ssd);
   void SwapCheck();

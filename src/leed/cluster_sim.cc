@@ -202,16 +202,17 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
   };
   auto st = std::make_shared<DriveState>();
 
-  // One closed-loop issue slot: draw an op, send it, reissue on completion.
-  std::function<void(uint32_t)> issue_op = [&, st](uint32_t client_idx) {
+  // Issue one op on `client_idx`: draw it, send it, count it on completion.
+  // The closed loop (`reissue`) keeps the slot busy by issuing the next op
+  // on completion; the open loop issues once per arrival.
+  std::function<void(uint32_t, bool)> issue_op = [&, st](uint32_t client_idx,
+                                                         bool reissue) {
     if (sim_->Now() >= end) return;
     Client& cl = *clients_[client_idx];
     workload::Op op = generator.Next();
     std::string key = workload::YcsbGenerator::KeyName(op.key_id);
 
-    auto on_done = [this, st, client_idx, &issue_op](Status s, SimTime) {
-      if (st->measuring && sim_->Now() <= 0) {
-      }
+    auto on_done = [st, client_idx, reissue, &issue_op](Status s, SimTime) {
       if (st->measuring) {
         if (s.ok() || s.IsNotFound()) {
           st->completed_measured++;
@@ -220,7 +221,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
           st->errors++;
         }
       }
-      if (!st->stopped) issue_op(client_idx);
+      if (reissue && !st->stopped) issue_op(client_idx, true);
     };
 
     switch (op.kind) {
@@ -275,62 +276,27 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
     }
   };
 
-  // Kick the load.
+  // Kick the load. The open loop's arrival closure lives until Run returns;
+  // scheduled copies resolve it through a weak_ptr, so arrivals still
+  // queued after that (or a self-capture cycle) cannot outlive Run's state.
+  auto arrival = std::make_shared<std::function<void()>>();
   if (options.open_loop_qps > 0) {
-    // Poisson arrivals split round-robin across clients. Open loop: the
-    // issue slot does not self-replenish; arrivals drive it.
+    // Poisson arrivals split round-robin across clients.
     auto rng = std::make_shared<Rng>(config_.seed ^ 0x9d1);
-    auto arrival = std::make_shared<std::function<void()>>();
     auto counter = std::make_shared<uint32_t>(0);
-    // Weak self-capture: scheduled copies resolve the closure through the
-    // weak_ptr, so `arrival` frees when Run's local reference dies instead
-    // of leaking as a reference cycle.
-    *arrival = [&, st, rng, counter,
+    const double mean_gap_ns = 1e9 / options.open_loop_qps;
+    *arrival = [&, st, rng, counter, mean_gap_ns,
                 warrival = std::weak_ptr<std::function<void()>>(arrival)] {
       auto self = warrival.lock();
       if (!self) return;
       if (sim_->Now() >= end || st->stopped) return;
-      uint32_t client_idx = (*counter)++ % clients_.size();
+      const uint32_t client_idx = (*counter)++ % clients_.size();
       // Deep saturation guard: past ~5K in-flight ops per client the
       // system is hopelessly overdriven; further arrivals only burn memory.
       // Dropped arrivals show up as the offered/achieved gap.
-      if (clients_[client_idx]->outstanding() > 5'000) {
-        double mean_gap = 1e9 / options.open_loop_qps;
-        sim_->Schedule(static_cast<SimTime>(rng->NextExponential(mean_gap)),
-                       *self);
-        return;
+      if (clients_[client_idx]->outstanding() <= 5'000) {
+        issue_op(client_idx, false);
       }
-      // Single-shot issue: like issue_op but without reissue-on-complete.
-      Client& cl = *clients_[client_idx];
-      workload::Op op = generator.Next();
-      std::string key = workload::YcsbGenerator::KeyName(op.key_id);
-      auto record = [this, st](Status s, SimTime lat) {
-        if (!st->measuring) return;
-        if (s.ok() || s.IsNotFound()) {
-          st->completed_measured++;
-          st->bucket_count++;
-        } else {
-          st->errors++;
-        }
-        st->latency.Record(ToMicros(lat));
-      };
-      if (op.kind == workload::OpKind::kRead) {
-        cl.Get(std::move(key),
-               [record](Status s, std::vector<uint8_t>, SimTime lat) {
-                 record(std::move(s), lat);
-               });
-      } else if (op.kind == workload::OpKind::kScan) {
-        cl.Scan(std::move(key), op.scan_len,
-                [st, record](Status s, std::vector<store::ScanItem> items,
-                             SimTime lat) {
-                  if (st->measuring) st->scan_items += items.size();
-                  record(std::move(s), lat);
-                });
-      } else {
-        cl.Put(std::move(key), generator.MakeValue(op.key_id, 1),
-               [record](Status s, SimTime lat) { record(std::move(s), lat); });
-      }
-      double mean_gap_ns = 1e9 / options.open_loop_qps;
       sim_->Schedule(static_cast<SimTime>(rng->NextExponential(mean_gap_ns)),
                      *self);
     };
@@ -338,7 +304,7 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
   } else {
     for (uint32_t c = 0; c < clients_.size(); ++c) {
       for (uint32_t s = 0; s < options.concurrency_per_client; ++s) {
-        sim_->Schedule(0, [&issue_op, c] { issue_op(c); });
+        sim_->Schedule(0, [&issue_op, c] { issue_op(c, true); });
       }
     }
   }

@@ -267,39 +267,141 @@ void Node::Dispatch(sim::Message msg) {
 }
 
 // ---------------------------------------------------------------------------
+// Admission and the read route
+// ---------------------------------------------------------------------------
+
+sim::EndpointId Node::EndpointOf(VNodeId v) const {
+  const cluster::VNodeInfo* info = view_.Find(v);
+  if (!info || !node_endpoints_) return sim::kInvalidEndpoint;
+  auto it = node_endpoints_->find(info->owner_node);
+  return it == node_endpoints_->end() ? sim::kInvalidEndpoint : it->second;
+}
+
+bool Node::IsDirty(VNodeId v, const std::string& key) const {
+  auto it = replicas_.find(v);
+  return it != replicas_.end() && it->second.IsDirty(key);
+}
+
+Node::Admission Node::Admit(VNodeId vnode, std::string_view key, uint8_t hop,
+                            bool shipped) const {
+  Admission a;
+  a.info = OwnedVNode(vnode);
+  if (!a.info) return a;
+  if (StoreIsFailed(a.info->local_store)) {
+    a.verdict = Admission::Verdict::kStoreFailed;
+    return a;
+  }
+  a.chain = ChainForKey(key);
+  a.idx = replication::IndexIn(a.chain, vnode);
+  // Shipped reads skip the hop check (the shipper rewrote the target); the
+  // client's hop only addresses first-touch requests.
+  if (a.idx < 0 || (!shipped && a.idx != hop)) return a;
+  a.verdict = Admission::Verdict::kAdmitted;
+  return a;
+}
+
+bool Node::Refuse(const Admission& a, sim::EndpointId reply_to,
+                  uint64_t req_id) {
+  switch (a.verdict) {
+    case Admission::Verdict::kAdmitted:
+      return false;
+    case Admission::Verdict::kNack:
+      SendNack(reply_to, req_id);
+      return true;
+    case Admission::Verdict::kStoreFailed:
+      // Degraded mode: this store's SSD is dead and cannot serve or take a
+      // write durably. kUnavailable (not kWrongView) so the client backs
+      // off instead of hammering the view service; the failover transition
+      // will reroute the vnode.
+      m_.store_unavailable_nacks->Inc();
+      SendMsg(reply_to,
+              MakeResponse(req_id, StatusCode::kUnavailable, a.info->local_store));
+      return true;
+  }
+  return false;
+}
+
+Node::ReadRoute Node::RouteRead(const ClientRequestMsg& req,
+                                bool pretend_clean) const {
+  ReadRoute r;
+  r.admission = Admit(req.vnode, req.key, req.hop, req.shipped);
+  if (r.admission.verdict != Admission::Verdict::kAdmitted) return r;
+  const std::vector<VNodeId>& chain = r.admission.chain;
+  const bool scan = req.op == engine::OpType::kScan;
+  const uint64_t keypos = cluster::HashRing::KeyPosition(req.key);
+  // Data completeness: fill progress is tracked per key position, but a
+  // scan spans an arbitrary key range, so for a scan any fill activity
+  // disqualifies a member (it may be missing keys anywhere in the range).
+  auto filling = [&](VNodeId v) {
+    return scan ? view_.IsFillingAny(v) : view_.IsFilling(v, keypos);
+  };
+  r.is_tail = r.admission.idx == static_cast<int>(chain.size()) - 1;
+  r.filling = filling(req.vnode);
+  // A scan's dirty windows are per key of its range: ServeScanLocally's
+  // serve guard parks on them once the snapshot names the keys.
+  const bool dirty = !scan && !pretend_clean && IsDirty(req.vnode, req.key);
+
+  // CRAQ ablation: a dirty (but data-complete) replica resolves the read
+  // with a version query to the tail instead of shipping it.
+  if (config_.crrs && config_.craq_version_query && dirty && !r.filling &&
+      !req.shipped && !r.is_tail) {
+    const sim::EndpointId tail_ep = EndpointOf(chain.back());
+    if (tail_ep != sim::kInvalidEndpoint) {
+      r.kind = ReadRoute::Kind::kCraqQuery;
+      r.target = chain.back();
+      r.target_ep = tail_ep;
+      return r;
+    }
+  }
+
+  const bool must_ship =
+      !req.shipped &&
+      (r.filling ||                                               // incomplete data here
+       (config_.crrs && !config_.craq_version_query && dirty) ||  // CRRS ship
+       (!config_.crrs && !r.is_tail));                            // baseline CR: tail only
+  if (must_ship) {
+    // Ship to the tail-most other chain member that is data-complete
+    // (§3.7: the tail always commits the latest write).
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      if (*it == req.vnode || filling(*it)) continue;
+      r.target = *it;
+      break;
+    }
+    r.target_ep = EndpointOf(r.target);
+    r.kind = r.target_ep != sim::kInvalidEndpoint ? ReadRoute::Kind::kShip
+                                                  : ReadRoute::Kind::kUnavailable;
+    return r;
+  }
+
+  // A shipped read normally lands at the tail, whose store always holds
+  // the latest committed value. This one landed on a dirty *mid* replica
+  // instead (the true tail is filling, so the shipper picked the tail-most
+  // data-complete member). Serving the store now could return the
+  // pre-commit value even though the tail already acked the writer — a
+  // client-visible stale read (found by the linearizability checker,
+  // docs/CHECKING.md). Park until the key's pending writes drain; the
+  // client's request timeout bounds the wait.
+  r.kind = req.shipped && dirty && !r.is_tail ? ReadRoute::Kind::kPark
+                                              : ReadRoute::Kind::kServe;
+  return r;
+}
+
+// ---------------------------------------------------------------------------
 // Client requests
 // ---------------------------------------------------------------------------
 
 void Node::HandleClientRequest(ClientRequestMsg req) {
   m_.client_requests->Inc();
-  if (req.op == engine::OpType::kGet) {
-    HandleGet(std::move(req));
+  if (req.op == engine::OpType::kGet || req.op == engine::OpType::kScan) {
+    HandleRead(std::move(req));
     return;
   }
-  if (req.op == engine::OpType::kScan) {
-    HandleScan(std::move(req));
-    return;
-  }
+  Admission a = Admit(req.vnode, req.key, req.hop, /*shipped=*/false);
   // Writes enter at the head of the chain.
-  const cluster::VNodeInfo* info = OwnedVNode(req.vnode);
-  if (!info) {
-    SendNack(req.reply_to, req.req_id);
-    return;
+  if (a.verdict == Admission::Verdict::kAdmitted && a.idx != 0) {
+    a.verdict = Admission::Verdict::kNack;
   }
-  if (StoreIsFailed(info->local_store)) {
-    // Degraded mode: this store's SSD is dead. kUnavailable (not
-    // kWrongView) so the client backs off instead of hammering the view
-    // service; the failover transition will reroute the vnode.
-    m_.store_unavailable_nacks->Inc();
-    RespondToClient(req.reply_to, req.req_id, StatusCode::kUnavailable, {},
-                    info->local_store, false);
-    return;
-  }
-  auto chain = ChainForKey(req.key);
-  if (chain.empty() || chain[0] != req.vnode || req.hop != 0) {
-    SendNack(req.reply_to, req.req_id);
-    return;
-  }
+  if (Refuse(a, req.reply_to, req.req_id)) return;
   m_.writes_headed->Inc();
   ChainWriteMsg w;
   w.write_id = MakeWriteId();
@@ -314,184 +416,76 @@ void Node::HandleClientRequest(ClientRequestMsg req) {
   HandleChainWrite(std::move(w));
 }
 
-void Node::HandleGet(ClientRequestMsg req) {
-  const cluster::VNodeInfo* info = OwnedVNode(req.vnode);
-  if (!info) {
-    SendNack(req.reply_to, req.req_id);
+void Node::HandleRead(ClientRequestMsg req, uint32_t attempt) {
+  const ReadRoute route = RouteRead(req, config_.test_only_serve_dirty_reads);
+  const cluster::VNodeInfo* info = route.admission.info;
+  if (req.op == engine::OpType::kScan && info && !storage_->SupportsScan()) {
+    // Baseline stacks expose no ordered view; tell the client outright
+    // instead of NACKing it into a refresh-retry loop.
+    SendMsg(req.reply_to, MakeResponse(req.req_id, StatusCode::kInvalidArgument,
+                                       info->local_store));
     return;
   }
-  if (StoreIsFailed(info->local_store)) {
-    m_.store_unavailable_nacks->Inc();
-    RespondToClient(req.reply_to, req.req_id, StatusCode::kUnavailable, {},
-                    info->local_store, false);
-    return;
-  }
-  auto chain = ChainForKey(req.key);
-  const uint64_t keypos = cluster::HashRing::KeyPosition(req.key);
-  const int idx = replication::IndexIn(chain, req.vnode);
-  if (idx < 0 || (!req.shipped && idx != req.hop)) {
-    m_.nacks_sent->Inc();
-    SendNack(req.reply_to, req.req_id);
-    return;
-  }
-
-  auto& rep = Replica(req.vnode);
-  const bool is_tail = (idx == static_cast<int>(chain.size()) - 1);
-  const bool filling = view_.IsFilling(req.vnode, keypos);
-  const bool dirty =
-      !config_.test_only_serve_dirty_reads && rep.IsDirty(req.key);
-  // CRAQ ablation: a dirty (but data-complete) replica resolves the read
-  // with a version query to the tail instead of shipping it.
-  if (config_.crrs && config_.craq_version_query && dirty && !filling &&
-      !req.shipped && !is_tail) {
-    VNodeId tail = chain.back();
-    const cluster::VNodeInfo* tinfo = view_.Find(tail);
-    if (tinfo && node_endpoints_ && node_endpoints_->contains(tinfo->owner_node)) {
+  switch (route.kind) {
+    case ReadRoute::Kind::kRefused:
+      Refuse(route.admission, req.reply_to, req.req_id);
+      return;
+    case ReadRoute::Kind::kUnavailable:
+      SendMsg(req.reply_to, MakeResponse(req.req_id, StatusCode::kUnavailable,
+                                         info->local_store));
+      return;
+    case ReadRoute::Kind::kCraqQuery: {
       m_.craq_queries_sent->Inc();
-      uint64_t qid = next_craq_id_++;
+      const uint64_t qid = next_craq_id_++;
       trace_->Record(sim_.Now(), obs::TraceKind::kCraqQuery, node_id_,
                      req.vnode, qid);
-      craq_pending_[qid] = std::move(req);
       CraqQueryMsg query;
       query.query_id = qid;
-      query.key = craq_pending_[qid].key;
-      query.tail_vnode = tail;
+      query.key = req.key;
+      query.tail_vnode = route.target;
       query.reply_to = endpoint_;
-      SendMsg(node_endpoints_->at(tinfo->owner_node), std::move(query));
+      craq_pending_[qid] = std::move(req);
+      SendMsg(route.target_ep, std::move(query));
       // Bound the park: if the query or its reply is dropped (or the tail
       // fails over), the entry would otherwise leak past the client timeout.
       sim_.Schedule(config_.craq_query_timeout,
                     [this, qid] { ReapCraqQuery(qid); });
       return;
     }
-  }
-
-  const bool must_ship =
-      !req.shipped &&
-      (filling ||                                        // incomplete data here
-       (config_.crrs && !config_.craq_version_query && dirty) ||  // CRRS ship
-       (!config_.crrs && !is_tail));                     // baseline CR: tail only
-
-  if (must_ship) {
-    // Ship to the tail-most chain member that is not filling for this key
-    // (§3.7: the tail always commits the latest write).
-    VNodeId target = cluster::kInvalidVNode;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (*it == req.vnode) continue;
-      if (view_.IsFilling(*it, keypos)) continue;
-      target = *it;
-      break;
-    }
-    const cluster::VNodeInfo* tinfo = target != cluster::kInvalidVNode
-                                          ? view_.Find(target)
-                                          : nullptr;
-    if (!tinfo || !node_endpoints_ || !node_endpoints_->contains(tinfo->owner_node)) {
-      RespondToClient(req.reply_to, req.req_id, StatusCode::kUnavailable, {},
-                      info->local_store, false);
+    case ReadRoute::Kind::kShip:
+      m_.reads_shipped->Inc();
+      trace_->Record(sim_.Now(), obs::TraceKind::kCrrsShip, node_id_, req.vnode,
+                     req.req_id, static_cast<int64_t>(route.target));
+      req.vnode = route.target;
+      req.shipped = true;
+      SendMsg(route.target_ep, std::move(req));
       return;
-    }
-    m_.reads_shipped->Inc();
-    trace_->Record(sim_.Now(), obs::TraceKind::kCrrsShip, node_id_, req.vnode,
-                   req.req_id, static_cast<int64_t>(target));
-    ClientRequestMsg shipped = std::move(req);
-    shipped.vnode = target;
-    shipped.shipped = true;
-    SendMsg(node_endpoints_->at(tinfo->owner_node), std::move(shipped));
-    return;
+    case ReadRoute::Kind::kPark:
+      parked_reads_[{req.vnode, req.key}].push_back(std::move(req));
+      return;
+    case ReadRoute::Kind::kServe:
+      if (req.op == engine::OpType::kScan) {
+        ServeScanLocally(std::move(req), info->local_store, attempt);
+      } else {
+        ServeGetLocally(std::move(req), info->local_store);
+      }
+      return;
   }
-
-  if (req.shipped && dirty && !is_tail) {
-    // A shipped read normally lands at the tail, whose store always holds
-    // the latest committed value. This one landed on a dirty *mid* replica
-    // instead (the true tail is filling, so the shipper picked the
-    // tail-most data-complete member). Serving the store now could return
-    // the pre-commit value even though the tail already acked the writer —
-    // a client-visible stale read (found by the linearizability checker,
-    // docs/CHECKING.md). Park until the key's pending writes drain; the
-    // client's request timeout bounds the wait.
-    parked_reads_[{req.vnode, req.key}].push_back(std::move(req));
-    return;
-  }
-
-  ServeGetLocally(std::move(req), info->local_store);
 }
 
-void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
-  const cluster::VNodeInfo* info = OwnedVNode(req.vnode);
-  if (!info) {
-    SendNack(req.reply_to, req.req_id);
-    return;
-  }
-  if (StoreIsFailed(info->local_store)) {
-    m_.store_unavailable_nacks->Inc();
-    RespondToClient(req.reply_to, req.req_id, StatusCode::kUnavailable, {},
-                    info->local_store, false);
-    return;
-  }
-  if (!storage_->SupportsScan()) {
-    // Baseline stacks expose no ordered view; tell the client outright
-    // instead of NACKing it into a refresh-retry loop.
-    RespondToClient(req.reply_to, req.req_id, StatusCode::kInvalidArgument, {},
-                    info->local_store, false);
-    return;
-  }
-  auto chain = ChainForKey(req.key);
-  const int idx = replication::IndexIn(chain, req.vnode);
-  if (idx < 0 || (!req.shipped && idx != req.hop)) {
-    m_.nacks_sent->Inc();
-    SendNack(req.reply_to, req.req_id);
-    return;
-  }
-  const bool is_tail = (idx == static_cast<int>(chain.size()) - 1);
-  // Data completeness: fill progress is tracked per key position but the
-  // scan spans an arbitrary key range, so any fill activity on this vnode
-  // disqualifies the whole replica (it may be missing keys anywhere in the
-  // range). Ship to a chain member with no fill activity at all.
-  auto vnode_filling = [this](VNodeId v) {
-    for (const auto& f : view_.filling) {
-      if (f.vnode == v) return true;
-    }
-    return false;
-  };
-  const bool must_ship = !req.shipped && (vnode_filling(req.vnode) ||
-                                          (!config_.crrs && !is_tail));
-  if (must_ship) {
-    VNodeId target = cluster::kInvalidVNode;
-    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      if (*it == req.vnode) continue;
-      if (vnode_filling(*it)) continue;
-      target = *it;
-      break;
-    }
-    const cluster::VNodeInfo* tinfo = target != cluster::kInvalidVNode
-                                          ? view_.Find(target)
-                                          : nullptr;
-    if (!tinfo || !node_endpoints_ || !node_endpoints_->contains(tinfo->owner_node)) {
-      RespondToClient(req.reply_to, req.req_id, StatusCode::kUnavailable, {},
-                      info->local_store, false);
-      return;
-    }
-    m_.reads_shipped->Inc();
-    trace_->Record(sim_.Now(), obs::TraceKind::kCrrsShip, node_id_, req.vnode,
-                   req.req_id, static_cast<int64_t>(target));
-    ClientRequestMsg shipped = std::move(req);
-    shipped.vnode = target;
-    shipped.shipped = true;
-    SendMsg(node_endpoints_->at(tinfo->owner_node), std::move(shipped));
-    return;
-  }
-
+void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
+                            uint32_t attempt) {
   // Atomic snapshot of the range index (synchronous: one sim event, same
   // shard). The fetch phase below may observe kBusy if compaction moves a
   // value afterwards, but never a torn mix of index generations.
   std::vector<store::ScanLoc> snapshot =
-      storage_->ScanSnapshot(info->local_store, req.key, req.scan_limit);
+      storage_->ScanSnapshot(local_store, req.key, req.scan_limit);
 
   // Per-key serve guard. The snapshot walks the store's whole ordered
   // index, and every key in it demands its own safety argument:
   //  - Chains are ring windows, so this store serves each key through
   //    whichever of this node's vnodes sits in THAT key's chain — as tail
-  //    for some keys and head/mid for others (`is_tail` above describes
+  //    for some keys and head/mid for others (the read route describes
   //    only the start key's chain).
   //  - A recovered (or drained) store can still index keys for arcs it no
   //    longer owns: point ops never route here for them, but a scan would
@@ -512,7 +506,7 @@ void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
     VNodeId member = cluster::kInvalidVNode;
     for (VNodeId v : kchain) {
       const cluster::VNodeInfo* vi = OwnedVNode(v);
-      if (vi && vi->local_store == info->local_store) {
+      if (vi && vi->local_store == local_store) {
         member = v;
         break;
       }
@@ -524,8 +518,8 @@ void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
     if (view_.IsFilling(member, kpos)) {
       continue;  // not backfilled yet
     }
-    if (!config_.test_only_serve_torn_scans &&
-        Replica(member).IsDirty(loc.key) && kchain.back() != member) {
+    if (!config_.test_only_serve_torn_scans && IsDirty(member, loc.key) &&
+        kchain.back() != member) {
       m_.scans_parked->Inc();
       parked_reads_[{member, loc.key}].push_back(std::move(req));
       return;
@@ -534,13 +528,7 @@ void Node::HandleScan(ClientRequestMsg req, uint32_t attempt) {
     ++kept;
   }
   snapshot.resize(kept);
-  ServeScanLocally(std::move(req), info->local_store, std::move(snapshot),
-                   attempt);
-}
 
-void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
-                            std::vector<store::ScanLoc> snapshot,
-                            uint32_t attempt) {
   engine::Request sreq;
   sreq.type = engine::OpType::kScan;
   sreq.key = req.key;
@@ -559,21 +547,17 @@ void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
       m_.internal_retries->Inc();
       sim_.Schedule(config_.internal_retry_delay, [this, shared, attempt] {
         if (failed_) return;
-        HandleScan(std::move(*shared), attempt + 1);
+        HandleRead(std::move(*shared), attempt + 1);
       });
       return;
     }
     m_.scans_served->Inc();
     m_.scan_items_returned->Add(items.size());
-    if (crashed_ || shared->reply_to == sim::kInvalidEndpoint) return;
-    ResponseMsg resp;
-    resp.req_id = shared->req_id;
-    resp.code = st.IsBusy() ? StatusCode::kOverloaded : st.code();
+    ResponseMsg resp =
+        MakeResponse(shared->req_id,
+                     st.IsBusy() ? StatusCode::kOverloaded : st.code(),
+                     local_store, meta.available_tokens);
     resp.scan_items = std::move(items);
-    resp.node = node_id_;
-    resp.ssd = storage_->ssd_of_store(local_store);
-    resp.tokens = meta.available_tokens;
-    resp.has_tokens = true;
     SendMsg(shared->reply_to, std::move(resp));
   };
   storage_->Submit(std::move(sreq));
@@ -582,7 +566,7 @@ void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
 void Node::ServeParkedReads(VNodeId vnode, const std::string& key) {
   auto it = parked_reads_.find(std::make_pair(vnode, key));
   if (it == parked_reads_.end()) return;
-  if (Replica(vnode).IsDirty(key)) return;  // a pending write remains
+  if (IsDirty(vnode, key)) return;  // a pending write remains
   std::vector<ClientRequestMsg> reqs = std::move(it->second);
   parked_reads_.erase(it);
   const cluster::VNodeInfo* info = OwnedVNode(vnode);
@@ -592,9 +576,9 @@ void Node::ServeParkedReads(VNodeId vnode, const std::string& key) {
       continue;
     }
     if (req.op == engine::OpType::kScan) {
-      // Re-enter the scan path: it re-snapshots the index and re-checks the
-      // dirty set (another key in range may have gone dirty meanwhile).
-      HandleScan(std::move(req));
+      // Re-enter the read route: it re-snapshots the index and re-checks
+      // the dirty set (another key in range may have gone dirty meanwhile).
+      HandleRead(std::move(req));
     } else {
       ServeGetLocally(std::move(req), info->local_store);
     }
@@ -635,58 +619,42 @@ void Node::ServeGetLocally(ClientRequestMsg req, uint32_t local_store) {
                       Status st, std::vector<uint8_t> value,
                       engine::ResponseMeta meta) {
     m_.gets_served->Inc();
-    RespondToClient(reply_to, req_id, st.code(), std::move(value), local_store,
-                    true, meta.available_tokens);
+    ResponseMsg resp =
+        MakeResponse(req_id, st.code(), local_store, meta.available_tokens);
+    resp.value = std::move(value);
+    SendMsg(reply_to, std::move(resp));
   };
   storage_->Submit(std::move(sreq));
 }
 
 bool Node::TryOffloadGet(ClientRequestMsg& req) {
-  // The offload engine's frame filter is a strict subset of HandleGet's
-  // decision tree (see DESIGN.md §10): anything ambiguous — wrong owner,
-  // filling or dirty replica, non-tail under plain CR, shipped read landing
-  // anywhere but the tail — punts back to the CPU path, which re-runs the
-  // full logic. The filter itself is free (fixed-function hardware); the
-  // engine-level index consultation is what a punt pays for.
+  // The offload engine's frame filter is derived from the CPU path's read
+  // route (DESIGN.md §10), so it is a subset of it by construction: it
+  // fast-paths only reads the route serves right here from a replica that
+  // is data-complete for the key and, for a shipped read, only at the tail
+  // (the tail's store value is committed throughout its dirty window — the
+  // window IS the in-flight commit apply). Everything else punts to the
+  // CPU path, which re-runs the route. The route sees the real dirty bit,
+  // NOT the test_only_serve_dirty_reads view of it: the filter is hardware
+  // and does not inherit the mutation, so the planted dirty-read bug still
+  // flows through the CPU path for the checker to catch. The filter itself
+  // is free (fixed-function hardware); the engine-level index consultation
+  // is what a punt pays for.
   if (!leed_engine_ || req.op != engine::OpType::kGet) return false;
-  const cluster::VNodeInfo* info = OwnedVNode(req.vnode);
-  if (!info || StoreIsFailed(info->local_store)) return false;
-  auto chain = ChainForKey(req.key);
-  const int idx = replication::IndexIn(chain, req.vnode);
-  // Shipped reads skip the hop check (the shipper rewrote the target); the
-  // client's hop only addresses first-touch requests.
-  if (idx < 0 || (!req.shipped && idx != req.hop)) return false;
-  const uint64_t keypos = cluster::HashRing::KeyPosition(req.key);
-  if (view_.IsFilling(req.vnode, keypos)) return false;
-  const bool is_tail = (idx == static_cast<int>(chain.size()) - 1);
-  if (req.shipped && !is_tail) {
-    // Shipped read diverted to a data-complete mid replica (true tail is
-    // filling) — HandleGet may have to park it; too subtle for the filter.
+  const ReadRoute route = RouteRead(req, /*pretend_clean=*/false);
+  if (route.kind != ReadRoute::Kind::kServe || route.filling ||
+      (req.shipped && !route.is_tail)) {
     return false;
   }
-  if (config_.crrs) {
-    // First-touch reads punt on the dirty bit — the CPU path ships them.
-    // Shipped reads already landed on the tail (checked above) and skip
-    // it: the tail's store value is committed throughout its dirty window
-    // (the window IS the in-flight commit apply), so serving it returns
-    // exactly what HandleGet's local path would. This is the real dirty
-    // bit, NOT the test_only_serve_dirty_reads view of it: the offload
-    // filter is hardware and does not inherit the mutation, so the
-    // planted dirty-read bug still flows through the CPU path for the
-    // checker to catch.
-    if (!req.shipped && Replica(req.vnode).IsDirty(req.key)) return false;
-  } else if (!is_tail) {
-    return false;  // baseline CR: only the tail serves reads
-  }
 
+  const uint32_t local_store = route.admission.info->local_store;
   engine::Request sreq;
   sreq.type = engine::OpType::kGet;
   sreq.key = req.key;  // copy: req must stay intact if the engine punts
-  sreq.store_id = info->local_store;
+  sreq.store_id = local_store;
   sreq.tenant = req.tenant;
   const auto reply_to = req.reply_to;
   const auto req_id = req.req_id;
-  const uint32_t local_store = info->local_store;
   sreq.callback = [this, reply_to, req_id, local_store](
                       Status st, std::vector<uint8_t> value,
                       engine::ResponseMeta meta) {
@@ -694,14 +662,9 @@ bool Node::TryOffloadGet(ClientRequestMsg& req) {
     m_.offload_gets->Inc();
     if (crashed_ || reply_to == sim::kInvalidEndpoint) return;
     // The offload engine replies from its own DMA path: no tx cycles.
-    ResponseMsg resp;
-    resp.req_id = req_id;
-    resp.code = st.code();
+    ResponseMsg resp =
+        MakeResponse(req_id, st.code(), local_store, meta.available_tokens);
     resp.value = std::move(value);
-    resp.node = node_id_;
-    resp.ssd = storage_->ssd_of_store(local_store);
-    resp.tokens = meta.available_tokens;
-    resp.has_tokens = true;
     const uint64_t wire = WireSize(resp);
     net_.Send(endpoint_, reply_to, wire, std::move(resp));
   };
@@ -755,28 +718,10 @@ void Node::HandleChainWrite(ChainWriteMsg w) {
   m_.chain_writes->Inc();
   trace_->Record(sim_.Now(), obs::TraceKind::kChainHop, node_id_, w.vnode,
                  w.write_id, w.hop);
-  const cluster::VNodeInfo* info = OwnedVNode(w.vnode);
-  if (!info) {
-    SendNack(w.reply_to, w.req_id);
-    return;
-  }
-  if (StoreIsFailed(info->local_store)) {
-    // A chain member with a dead store cannot take the write durably;
-    // refuse up front so the client retries once failover reshapes the
-    // chain, instead of wedging the write behind a store that can only
-    // return IoError.
-    m_.store_unavailable_nacks->Inc();
-    RespondToClient(w.reply_to, w.req_id, StatusCode::kUnavailable, {},
-                    info->local_store, false);
-    return;
-  }
-  auto chain = ChainForKey(w.key);
-  const int idx = replication::IndexIn(chain, w.vnode);
-  if (idx < 0 || idx != w.hop) {
-    m_.nacks_sent->Inc();
-    SendNack(w.reply_to, w.req_id);
-    return;
-  }
+  const Admission a = Admit(w.vnode, w.key, w.hop, /*shipped=*/false);
+  if (Refuse(a, w.reply_to, w.req_id)) return;
+  const std::vector<VNodeId>& chain = a.chain;
+  const int idx = a.idx;
   auto& rep = Replica(w.vnode);
   if (rep.SeenApplied(w.write_id)) return;  // duplicate after re-forward
   rep.RecordChainWrite(w.key);
@@ -796,16 +741,12 @@ void Node::HandleChainWrite(ChainWriteMsg w) {
     return;
   }
   rep.AddPending(std::move(pw));
-  // Forward to the successor.
-  VNodeId next = chain[idx + 1];
-  const cluster::VNodeInfo* ninfo = view_.Find(next);
-  if (!ninfo || !node_endpoints_ || !node_endpoints_->contains(ninfo->owner_node)) {
-    return;  // successor unknown; a view update will re-forward
-  }
+  // Forward to the successor (dropped if its endpoint is unknown; a view
+  // update will re-forward).
   ChainWriteMsg fwd = std::move(w);
-  fwd.vnode = next;
+  fwd.vnode = chain[idx + 1];
   fwd.hop = static_cast<uint8_t>(idx + 1);
-  SendMsg(node_endpoints_->at(ninfo->owner_node), std::move(fwd));
+  SendMsg(EndpointOf(fwd.vnode), std::move(fwd));
 }
 
 void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
@@ -820,7 +761,9 @@ void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
     r.MarkApplied(shared->write_id);
     const cluster::VNodeInfo* info = OwnedVNode(vnode);
     const uint32_t store = info ? info->local_store : 0;
-    RespondToClient(shared->reply_to, shared->req_id, st.code(), {}, store, true);
+    SendMsg(shared->reply_to,
+            MakeResponse(shared->req_id, st.code(), store,
+                         storage_->AvailableTokens(storage_->ssd_of_store(store))));
     // The commit stamp is assigned in apply-completion order: that order
     // IS the commitment order clients observe, and replicas behind us
     // replay acked writes in stamp order per key.
@@ -833,11 +776,8 @@ void Node::CommitAsTail(VNodeId vnode, PendingWrite w,
 void Node::SendAckBackward(const std::vector<VNodeId>& chain, VNodeId self,
                            uint64_t write_id, const std::string& key,
                            bool success, replication::CommitStamp commit) {
-  VNodeId prev = replication::PrevIn(chain, self);
-  if (prev == cluster::kInvalidVNode) return;
-  const cluster::VNodeInfo* pinfo = view_.Find(prev);
-  if (!pinfo || !node_endpoints_ || !node_endpoints_->contains(pinfo->owner_node))
-    return;
+  const VNodeId prev = replication::PrevIn(chain, self);
+  if (prev == cluster::kInvalidVNode) return;  // the head has no predecessor
   ChainAckMsg ack;
   ack.write_id = write_id;
   ack.key = key;
@@ -845,7 +785,7 @@ void Node::SendAckBackward(const std::vector<VNodeId>& chain, VNodeId self,
   ack.success = success;
   ack.commit_epoch = commit.epoch;
   ack.commit_seq = commit.seq;
-  SendMsg(node_endpoints_->at(pinfo->owner_node), std::move(ack));
+  SendMsg(EndpointOf(prev), std::move(ack));  // dropped if endpoint unknown
 }
 
 void Node::HandleChainAck(ChainAckMsg ack) {
@@ -958,24 +898,19 @@ void Node::ApplyLocal(VNodeId vnode, bool is_del, std::string key,
 // Responses
 // ---------------------------------------------------------------------------
 
-void Node::RespondToClient(sim::EndpointId reply_to, uint64_t req_id,
-                           StatusCode code, std::vector<uint8_t> value,
-                           uint32_t local_store, bool with_tokens,
-                           uint32_t tokens_override) {
-  if (reply_to == sim::kInvalidEndpoint) return;
+ResponseMsg Node::MakeResponse(uint64_t req_id, StatusCode code,
+                               uint32_t local_store,
+                               std::optional<uint32_t> tokens) const {
   ResponseMsg resp;
   resp.req_id = req_id;
   resp.code = code;
-  resp.value = std::move(value);
   resp.node = node_id_;
   resp.ssd = storage_->ssd_of_store(local_store);
-  if (with_tokens) {
-    resp.tokens = tokens_override != UINT32_MAX
-                      ? tokens_override
-                      : storage_->AvailableTokens(resp.ssd);
+  if (tokens) {
+    resp.tokens = *tokens;
     resp.has_tokens = true;
   }
-  SendMsg(reply_to, std::move(resp));
+  return resp;
 }
 
 void Node::SendNack(sim::EndpointId reply_to, uint64_t req_id) {
@@ -1018,13 +953,7 @@ void Node::HandleViewUpdate(cluster::ViewUpdateMsg update) {
 void Node::RefreshFillTracking() {
   for (const auto& [id, info] : view_.vnodes) {
     if (info.owner_node != node_id_) continue;
-    bool filling_any = false;
-    for (const auto& f : view_.filling) {
-      if (f.vnode == id) {
-        filling_any = true;
-        break;
-      }
-    }
+    const bool filling_any = view_.IsFillingAny(id);
     auto& rep = Replica(id);
     if (filling_any && !rep.fill_tracking()) rep.StartFillTracking();
     if (!filling_any && rep.fill_tracking()) rep.StopFillTracking();
@@ -1060,9 +989,8 @@ void Node::ReforwardPending() {
       }
       // Still mid/head: re-forward to the (possibly new) successor.
       VNodeId next = chain[idx + 1];
-      const cluster::VNodeInfo* ninfo = view_.Find(next);
-      if (!ninfo || !node_endpoints_ || !node_endpoints_->contains(ninfo->owner_node))
-        continue;
+      const sim::EndpointId next_ep = EndpointOf(next);
+      if (next_ep == sim::kInvalidEndpoint) continue;
       m_.pending_reforwards->Inc();
       ChainWriteMsg fwd;
       fwd.write_id = w->write_id;
@@ -1074,7 +1002,7 @@ void Node::ReforwardPending() {
       fwd.view_epoch = view_.epoch;
       fwd.reply_to = w->reply_to;
       fwd.req_id = w->req_id;
-      SendMsg(node_endpoints_->at(ninfo->owner_node), std::move(fwd));
+      SendMsg(next_ep, std::move(fwd));
     }
   }
 }

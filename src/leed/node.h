@@ -181,16 +181,54 @@ class LEED_SHARD_AFFINE Node {
   void OnMessage(sim::Message msg);
   void Dispatch(sim::Message msg);
 
+  // Owner / failed-store / hop-counter check (§3.8.1) every request entry
+  // point runs first. `chain`/`idx` are set once the owner check passes.
+  struct Admission {
+    enum class Verdict : uint8_t { kNack, kStoreFailed, kAdmitted };
+    Verdict verdict = Verdict::kNack;
+    const cluster::VNodeInfo* info = nullptr;  // set unless not the owner
+    std::vector<cluster::VNodeId> chain;
+    int idx = -1;
+  };
+  Admission Admit(cluster::VNodeId vnode, std::string_view key, uint8_t hop,
+                  bool shipped) const;
+  // Answer a request Admit did not admit (NACK, or kUnavailable for a
+  // failed store); false if it was admitted.
+  bool Refuse(const Admission& a, sim::EndpointId reply_to, uint64_t req_id);
+
+  // §3.7 read route: where a GET or SCAN addressed to this node is served,
+  // from the view, the key's chain and the replica's dirty and filling
+  // state. Side-effect free. HandleRead acts on it, and the offload filter
+  // fast-paths a subset of its kServe results. `pretend_clean` is the
+  // test_only_serve_dirty_reads mutation (CPU path only).
+  struct ReadRoute {
+    enum class Kind : uint8_t {
+      kRefused,      // not admitted: see admission.verdict
+      kUnavailable,  // must ship, but no data-complete member is reachable
+      kCraqQuery,    // CRAQ ablation: the tail `target` serializes the read
+      kShip,         // forward to `target`, owned by `target_ep`
+      kPark,         // shipped onto a dirty mid replica: wait for the apply
+      kServe,        // serve from admission.info->local_store
+    };
+    Kind kind = Kind::kRefused;
+    Admission admission;
+    cluster::VNodeId target = cluster::kInvalidVNode;
+    sim::EndpointId target_ep = sim::kInvalidEndpoint;
+    bool is_tail = false;
+    bool filling = false;  // this replica may be missing the read's data
+  };
+  ReadRoute RouteRead(const ClientRequestMsg& req, bool pretend_clean) const;
+
   void HandleClientRequest(ClientRequestMsg req);
-  void HandleGet(ClientRequestMsg req);
-  // SCAN entry point: snapshot the range index, gate on CRRS dirty windows
-  // (park until they drain unless this replica is the tail), then fetch the
-  // values through the engine. kBusy completions (compaction moved a value
-  // under the snapshot) re-enter here for a fresh snapshot, bounded by
-  // max_internal_retries.
-  void HandleScan(ClientRequestMsg req, uint32_t attempt = 0);
+  // GET and SCAN entry point. A SCAN served here snapshots the range index
+  // and fetches the values (ServeScanLocally); its kBusy completions
+  // (compaction moved a value under the snapshot) re-enter here for a
+  // fresh snapshot, bounded by max_internal_retries.
+  void HandleRead(ClientRequestMsg req, uint32_t attempt = 0);
+  // Snapshot, per-key serve guard (park on CRRS dirty windows unless this
+  // replica is the key's tail), then the engine value fetch.
   void ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
-                        std::vector<store::ScanLoc> snapshot, uint32_t attempt);
+                        uint32_t attempt);
   // Host-bypass offload (Scalio-style): serve an index-hit GET straight
   // from the NIC offload engine, charging no rx/tx or store-core cycles.
   // Returns false (req intact) when the op must take the CPU slow path.
@@ -222,11 +260,12 @@ class LEED_SHARD_AFFINE Node {
                   std::vector<uint8_t> value, std::function<void(Status)> done,
                   uint32_t attempt = 0);
 
-  // tokens_override: pass the engine's tenant-weighted allocation through
-  // instead of recomputing the unweighted pool (UINT32_MAX = recompute).
-  void RespondToClient(sim::EndpointId reply_to, uint64_t req_id, StatusCode code,
-                       std::vector<uint8_t> value, uint32_t local_store,
-                       bool with_tokens, uint32_t tokens_override = UINT32_MAX);
+  // The one ResponseMsg builder for every reply but a NACK: status plus
+  // the serving store's SSD, piggybacking `tokens` (its token allocation,
+  // the §3.5 flow-control feedback) when set.
+  ResponseMsg MakeResponse(uint64_t req_id, StatusCode code,
+                           uint32_t local_store,
+                           std::optional<uint32_t> tokens = std::nullopt) const;
   void SendNack(sim::EndpointId reply_to, uint64_t req_id);
   void SendAckBackward(const std::vector<cluster::VNodeId>& chain,
                        cluster::VNodeId self, uint64_t write_id,
@@ -244,7 +283,8 @@ class LEED_SHARD_AFFINE Node {
   void ServeParkedReads(cluster::VNodeId vnode, const std::string& key);
   void SweepParkedReads();
 
-  // Send any message to another node/client, charging tx cycles.
+  // Send any message to another node/client, charging tx cycles. Sends to
+  // kInvalidEndpoint are dropped.
   template <typename M>
   void SendMsg(sim::EndpointId to, M msg);
 
@@ -253,6 +293,10 @@ class LEED_SHARD_AFFINE Node {
   replication::ReplicaState& Replica(cluster::VNodeId id);
   std::vector<cluster::VNodeId> ChainForKey(std::string_view key) const;
   const cluster::VNodeInfo* OwnedVNode(cluster::VNodeId id) const;
+  // Endpoint of the node owning `v`; kInvalidEndpoint when unknown.
+  sim::EndpointId EndpointOf(cluster::VNodeId v) const;
+  // Whether `v` has a pending (unacked or unapplied) write on `key`.
+  bool IsDirty(cluster::VNodeId v, const std::string& key) const;
   uint64_t MakeWriteId() { return (static_cast<uint64_t>(node_id_) << 40) | next_write_seq_++; }
   void RefreshFillTracking();
   void ReforwardPending();

@@ -339,6 +339,32 @@ TEST(IntegrationTest, RunHarnessProducesThroughputAndEnergy) {
   EXPECT_EQ(r.errors, 0u);
 }
 
+TEST(IntegrationTest, OpenLoopIssuesAtTheOfferedRate) {
+  ClusterSim cluster(SmallLeedCluster());
+  cluster.Bootstrap();
+  cluster.Preload(500, 256);
+
+  workload::YcsbConfig wc;
+  wc.mix = workload::Mix::kB;
+  wc.num_keys = 500;
+  wc.value_size = 256;
+  workload::YcsbGenerator gen(wc);
+
+  // 50 KQPS for 100 ms: Poisson arrivals, one op each, no reissue. A
+  // cluster this idle must complete (nearly) every offered op.
+  ClusterSim::DriveOptions opt;
+  opt.open_loop_qps = 50'000;
+  opt.warmup = 20 * kMillisecond;
+  opt.duration = 100 * kMillisecond;
+  RunResult r = cluster.Run(gen, opt);
+
+  const double offered = opt.open_loop_qps * ToSeconds(opt.duration);
+  EXPECT_GE(static_cast<double>(r.completed), 0.95 * offered);
+  EXPECT_LE(static_cast<double>(r.completed), 1.05 * offered);
+  EXPECT_EQ(r.errors, 0u);
+  EXPECT_EQ(r.latency_us.count(), r.completed);
+}
+
 TEST(IntegrationTest, TimelineBucketsCoverRun) {
   ClusterSim cluster(SmallLeedCluster());
   cluster.Bootstrap();

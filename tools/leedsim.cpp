@@ -5,7 +5,7 @@
 //   leedsim --system=leed --nodes=3 --mix=B --value-size=1024
 //           --keys=20000 --skew=0.99 --concurrency=64 --duration-ms=500
 //
-//   leedsim --system=fawn --nodes=10 --mix=C --rate-kqps=20   (open loop)
+//   leedsim --system=fawn --nodes=10 --mix=C --rate-kqps=10   (open loop)
 //
 // Prints throughput, latency percentiles, power, and requests/Joule in the
 // paper's units, plus per-node counters with --verbose.
