@@ -30,12 +30,6 @@ class CAPABILITY("mutex") Mutex {
   void Unlock() RELEASE() { mu_.unlock(); }
   bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
-  // BasicLockable spelling, so std::condition_variable_any can wait on a
-  // leed::Mutex directly (cv.wait(mu_) inside a MutexLock scope). Not for
-  // general use — acquire through MutexLock.
-  void lock() ACQUIRE() { mu_.lock(); }
-  void unlock() RELEASE() { mu_.unlock(); }
-
  private:
   std::mutex mu_;
 };

@@ -4,42 +4,11 @@
 
 #include "obs/metrics.h"
 #include "sim/power.h"
-#include "sim/shard_check.h"
 
 namespace leed {
 
-uint32_t ClusterSim::NodeShard(uint32_t node_id) const {
-  return 1 + (config_.num_nodes ? node_id % config_.num_nodes : 0);
-}
-
-uint32_t ClusterSim::ClientShard(uint32_t client_idx) const {
-  return 1 + config_.num_nodes + client_idx;
-}
-
 ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
   sim_ = std::make_unique<sim::Simulator>();
-  if (config_.sharded) {
-    // Lookahead must lower-bound every cross-shard interaction. All
-    // cross-participant effects travel the fabric, and DeliverOne's base
-    // term is the max of the two endpoints' stacks, so the smallest
-    // base latency any NIC in this deployment declares is conservative.
-    SimTime lookahead = std::min({config_.node.platform.nic.base_latency_ns,
-                                  config_.client.nic.base_latency_ns,
-                                  sim::NicSpec{}.base_latency_ns});
-    if (lookahead < 1) lookahead = 1;
-    sim_->EnableSharding(1 + config_.num_nodes + config_.num_clients,
-                         lookahead);
-#ifndef NDEBUG
-    // Debug builds arm the dynamic half of the shard-purity contract:
-    // nodes, clients, and engines register their owner shard as they are
-    // constructed below, and LEED_ASSERT_SHARD hooks in their dispatch
-    // paths verify every access. Fatal by default — a violation prints its
-    // deterministic report and aborts (CI's sharded nemesis smoke relies on
-    // the nonzero exit).
-    shard_checker_ = std::make_unique<sim::ShardAccessChecker>(*sim_);
-    shard_checker_->set_trace(config_.node.trace);
-#endif
-  }
   net_ = std::make_unique<sim::Network>(*sim_);
   // Fabric counters live beside the per-node trees: "net.*" in the same
   // registry the nodes will register under.
@@ -54,32 +23,21 @@ ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
   cpc.trace = config_.node.trace;
   cp_ = std::make_unique<cluster::ControlPlane>(*sim_, *net_, cpc);
 
-  // Read outside the per-node guards below: the control plane is shard 0's
-  // object, and the shard-purity lint holds guard regions to that.
   const sim::EndpointId cp_ep = cp_->endpoint();
   for (uint32_t i = 0; i < config_.num_nodes; ++i) {
-    // Everything a node schedules during construction (device init, timer
-    // seeds) belongs to its shard, as do its network deliveries.
-    sim::Simulator::ShardGuard shard(*sim_, NodeShard(i));
     NodeConfig nc = config_.node;
     nc.engine.external_ssds = NodeDevices(i);
     auto n = std::make_unique<Node>(*sim_, *net_, cp_ep, std::move(nc),
                                     i, config_.seed + 1000 + i);
-    net_->SetEndpointShard(n->endpoint(), NodeShard(i));
     node_endpoints_[i] = n->endpoint();
-    // LEED_CROSS_SHARD_OK: pre-Run control-plane wiring on the driver; the
-    // guard only scopes the node's own construction.
     cp_->RegisterNode(i, n->endpoint());
     n->set_node_endpoints(&node_endpoints_);
-    // LEED_CROSS_SHARD_OK: the container lives on the driver; the element
-    // it now owns is the shard-affine object.
     nodes_.push_back(std::move(n));
   }
   if (config_.record_history) {
     history_ = std::make_unique<check::HistoryLog>(config_.history_max_ops);
   }
   for (uint32_t c = 0; c < config_.num_clients; ++c) {
-    sim::Simulator::ShardGuard shard(*sim_, ClientShard(c));
     ClientConfig cc = config_.client;
     cc.metrics_registry = config_.node.metrics_registry;
     cc.metrics_prefix = "client" + std::to_string(c);
@@ -90,10 +48,7 @@ ClusterSim::ClusterSim(ClusterConfig config) : config_(std::move(config)) {
     cc.history_client_id = c;
     auto cl = std::make_unique<Client>(*sim_, *net_, cp_ep,
                                        &node_endpoints_, std::move(cc));
-    net_->SetEndpointShard(cl->endpoint(), ClientShard(c));
-    // LEED_CROSS_SHARD_OK: pre-Run control-plane wiring on the driver.
     cp_->RegisterClient(cl->endpoint());
-    // LEED_CROSS_SHARD_OK: driver-side container bookkeeping.
     clients_.push_back(std::move(cl));
   }
 }
@@ -111,10 +66,7 @@ void ClusterSim::Bootstrap() {
     const uint64_t pos = total ? k * (UINT64_MAX / total) : 0;
     cp_->Bootstrap(node_id, store, pos);
   }
-  for (uint32_t i = 0; i < nodes_.size(); ++i) {
-    sim::Simulator::ShardGuard shard(*sim_, NodeShard(i));
-    nodes_[i]->Start();
-  }
+  for (auto& n : nodes_) n->Start();
   cp_->Start();
   // Deliver the initial view everywhere.
   sim_->RunUntil(sim_->Now() + 5 * kMillisecond);
@@ -139,10 +91,6 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
         const cluster::VNodeInfo* info = cp_->view().Find(v);
         if (!info) continue;
         ++completed;  // decremented on completion below via counter trick
-        // A preload write belongs to the owner's shard: the store events it
-        // schedules are that node's work, and the debug shard checker holds
-        // DirectPut to the same contract as the network path.
-        sim::Simulator::ShardGuard shard(*sim_, NodeShard(info->owner_node));
         nodes_[info->owner_node]->DirectPut(
             info->local_store, key, gen.MakeValue(issued),
             [&completed](Status) { --completed; });
@@ -374,23 +322,16 @@ RunResult ClusterSim::Run(workload::YcsbGenerator& generator,
 
 uint32_t ClusterSim::JoinNode() {
   const uint32_t node_id = static_cast<uint32_t>(nodes_.size());
-  const sim::EndpointId cp_ep = cp_->endpoint();  // shard 0's object; read pre-guard
-  sim::Simulator::ShardGuard shard(*sim_, NodeShard(node_id));
   NodeConfig nc = config_.node;
   nc.engine.external_ssds = NodeDevices(node_id);
-  auto n = std::make_unique<Node>(*sim_, *net_, cp_ep, std::move(nc),
+  auto n = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(), std::move(nc),
                                   node_id, config_.seed + 1000 + node_id);
-  net_->SetEndpointShard(n->endpoint(), NodeShard(node_id));
   node_endpoints_[node_id] = n->endpoint();
-  // LEED_CROSS_SHARD_OK: driver-side join wiring (see constructor).
   cp_->RegisterNode(node_id, n->endpoint());
   n->set_node_endpoints(&node_endpoints_);
   n->Start();
   const uint32_t stores = n->storage().num_stores();
-  // LEED_CROSS_SHARD_OK: driver-side container bookkeeping.
   nodes_.push_back(std::move(n));
-  // LEED_CROSS_SHARD_OK: the join protocol starts on the control plane's
-  // shard; its first event lands there via the control endpoint.
   for (uint32_t s = 0; s < stores; ++s) cp_->StartJoin(node_id, s);
   return node_id;
 }
@@ -440,17 +381,13 @@ void ClusterSim::RestartNode(uint32_t node_id) {
   if (!nodes_[node_id]->crashed()) return;
   faults_->ReviveNode(node_id);
 
-  const sim::EndpointId cp_ep = cp_->endpoint();  // shard 0's object; read pre-guard
-  sim::Simulator::ShardGuard shard(*sim_, NodeShard(node_id));
   NodeConfig nc = config_.node;
   nc.engine.external_ssds = NodeDevices(node_id);
-  auto fresh = std::make_unique<Node>(*sim_, *net_, cp_ep,
+  auto fresh = std::make_unique<Node>(*sim_, *net_, cp_->endpoint(),
                                       std::move(nc), node_id,
                                       config_.seed + 1000 + node_id);
-  net_->SetEndpointShard(fresh->endpoint(), NodeShard(node_id));
   node_endpoints_[node_id] = fresh->endpoint();
   fresh->set_node_endpoints(&node_endpoints_);
-  // LEED_CROSS_SHARD_OK: driver-side restart wiring (see constructor).
   cp_->RegisterNode(node_id, fresh->endpoint());
   graveyard_.push_back(std::move(nodes_[node_id]));
   nodes_[node_id] = std::move(fresh);
@@ -461,11 +398,8 @@ void ClusterSim::RestartNode(uint32_t node_id) {
     // tell the control plane, and rejoin the ring through the normal join
     // path so chain repair re-replicates anything this node missed.
     n->Start();
-    // LEED_CROSS_SHARD_OK: this completion runs long after the guard above
-    // is gone; the lexical guard region over-approximates.
     cp_->ReviveNode(node_id, n->endpoint());
     const uint32_t stores = n->storage().num_stores();
-    // LEED_CROSS_SHARD_OK: join protocol starts on the control plane's shard.
     for (uint32_t s = 0; s < stores; ++s) cp_->StartJoin(node_id, s);
   });
 }

@@ -1,5 +1,10 @@
 #include "sim/sweep.h"
 
+#include <algorithm>
+#include <atomic>
+#include <thread>
+#include <vector>
+
 namespace leed::sim {
 
 uint32_t ResolveJobs(uint32_t requested) {
@@ -8,88 +13,30 @@ uint32_t ResolveJobs(uint32_t requested) {
   return hw == 0 ? 1u : static_cast<uint32_t>(hw);
 }
 
-TaskPool::TaskPool(uint32_t jobs) : jobs_(jobs == 0 ? 1 : jobs) {
-  // The calling thread participates in every round, so a pool of size J
-  // needs J-1 workers (and size 1 needs none: Run is then a plain loop,
-  // the serial oracle the replay gate compares parallel runs against).
-  workers_.reserve(jobs_ - 1);
-  for (uint32_t i = 0; i + 1 < jobs_; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-TaskPool::~TaskPool() {
-  {
-    MutexLock lock(&mu_);
-    shutdown_ = true;
-  }
-  round_start_.notify_all();
-  for (auto& w : workers_) w.join();
-}
-
-void TaskPool::DrainCursor() {
-  uint32_t done = 0;
-  for (;;) {
-    const uint32_t index = cursor_.fetch_add(1, std::memory_order_relaxed);
-    if (index >= count_) break;
-    (*task_)(index);
-    ++done;
-  }
-  if (done > 0) {
-    MutexLock lock(&mu_);
-    completed_ += done;
-    if (completed_ == count_) round_done_.notify_all();
-  }
-}
-
-void TaskPool::WorkerLoop() {
-  uint64_t seen_round = 0;
-  for (;;) {
-    {
-      // Plain wait loop (no predicate lambda): every guarded access sits
-      // lexically inside the MutexLock scope, where the analysis can see
-      // the capability is held.
-      MutexLock lock(&mu_);
-      while (!shutdown_ && round_ == seen_round) round_start_.wait(mu_);
-      if (shutdown_) return;
-      seen_round = round_;
-    }
-    DrainCursor();
-  }
-}
-
-void TaskPool::Run(uint32_t count, const std::function<void(uint32_t)>& task) {
-  if (count == 0) return;
-  if (jobs_ == 1 || count == 1) {
-    for (uint32_t i = 0; i < count; ++i) task(i);
-    return;
-  }
-  {
-    MutexLock lock(&mu_);
-    count_ = count;
-    task_ = &task;
-    completed_ = 0;
-    cursor_.store(0, std::memory_order_relaxed);
-    ++round_;
-  }
-  round_start_.notify_all();
-  // The caller is worker zero: it drains the same cursor, so a pool of J
-  // never leaves the calling core idle while J-1 workers grind.
-  DrainCursor();
-  MutexLock lock(&mu_);
-  while (completed_ != count_) round_done_.wait(mu_);
-  task_ = nullptr;
-}
-
 void ParallelFor(uint32_t count, uint32_t jobs,
                  const std::function<void(uint32_t)>& task) {
-  const uint32_t resolved = ResolveJobs(jobs);
-  if (resolved <= 1 || count <= 1) {
+  const uint32_t threads = std::min(ResolveJobs(jobs), count);
+  if (threads <= 1) {
     for (uint32_t i = 0; i < count; ++i) task(i);
     return;
   }
-  TaskPool pool(resolved < count ? resolved : count);
-  pool.Run(count, task);
+  std::atomic<uint32_t> cursor{0};
+  auto drain = [&] {
+    for (;;) {
+      const uint32_t i = cursor.fetch_add(1, std::memory_order_relaxed);
+      if (i >= count) return;
+      task(i);
+    }
+  };
+  // The caller drains the same cursor as the spawned threads, so a sweep
+  // of J jobs never leaves the calling core idle. jthread joins when
+  // `workers` goes out of scope, also if a task throws on this thread;
+  // thread start and join are the happens-before edges that publish each
+  // task's writes to the caller.
+  std::vector<std::jthread> workers;
+  workers.reserve(threads - 1);
+  for (uint32_t t = 1; t < threads; ++t) workers.emplace_back(drain);
+  drain();
 }
 
 }  // namespace leed::sim

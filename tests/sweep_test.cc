@@ -1,14 +1,9 @@
-// Tests for the parallel-simulation layers (docs/PARALLEL_SIM.md):
+// Tests for the seed-parallel sweep driver (sim/sweep.h, docs/PARALLEL_SIM.md):
 //
-//   * Tier A: the seed-parallel sweep driver (sim/sweep.h) — index
-//     coverage, pool reuse, and the jobs=1 serial-oracle contract;
-//   * Tier B: the conservative-lookahead ShardedRunner (sim/shard.h) —
-//     byte-identical traces for every jobs value, lookahead clamping, and
-//     window accounting at the horizon boundary;
-//   * end to end: nemesis sweeps and full ClusterSim runs must produce
-//     identical verdicts, histories, and metrics snapshots across
-//     {--jobs, --sharded} variants — the unit-level form of CI's replay
-//     gate.
+//   * ParallelFor — index coverage and the jobs=1 serial-oracle contract;
+//   * end to end: nemesis sweeps must produce identical verdicts and
+//     history bytes for every --jobs value — the unit-level form of CI's
+//     replay gate.
 //
 // Wall-clock speedup is deliberately NOT asserted here: these tests run on
 // arbitrary (possibly single-core) machines. The speedup gates live in CI,
@@ -21,24 +16,13 @@
 #include <cstdio>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "check/nemesis.h"
-#include "common/rand.h"
-#include "leed/cluster_sim.h"
-#include "obs/metrics.h"
-#include "sim/shard.h"
 #include "sim/sweep.h"
-#include "test_util.h"
-#include "workload/ycsb.h"
 
 namespace leed {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Tier A: sweep driver.
-// ---------------------------------------------------------------------------
 
 TEST(SweepTest, ResolveJobs) {
   EXPECT_EQ(sim::ResolveJobs(1), 1u);
@@ -77,152 +61,6 @@ TEST(SweepTest, SerialJobsRunInOrderOnCallingThread) {
   for (uint32_t i = 0; i < 16; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST(SweepTest, TaskPoolIsReusableAcrossRounds) {
-  sim::TaskPool pool(3);
-  EXPECT_EQ(pool.size(), 3u);
-  for (int round = 0; round < 20; ++round) {
-    // Vary the count across rounds, including counts below the pool size
-    // and empty rounds — workers must park and re-wake cleanly.
-    const uint32_t count = static_cast<uint32_t>(round % 5) * 7;
-    std::atomic<uint64_t> sum{0};
-    pool.Run(count, [&sum](uint32_t i) {
-      sum.fetch_add(i + 1, std::memory_order_relaxed);
-    });
-    EXPECT_EQ(sum.load(), static_cast<uint64_t>(count) * (count + 1) / 2)
-        << "round " << round;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Tier B: ShardedRunner.
-// ---------------------------------------------------------------------------
-
-// A shard-pure workload: each shard re-arms its own chain of events and
-// every third firing posts a cross-shard event to its neighbour. All state
-// a callback touches belongs to the shard the callback runs on.
-struct ShardScript {
-  sim::ShardedRunner* runner = nullptr;
-  std::vector<ShardScript>* all = nullptr;
-  uint32_t shard = 0;
-  uint32_t remaining = 0;
-  Rng rng{0};
-  uint32_t seq = 0;
-  std::vector<std::pair<SimTime, uint32_t>> trace;
-
-  void Arm() {
-    runner->shard(shard).Schedule(
-        static_cast<SimTime>(1 + rng.NextBounded(64)), [this] { Fire(); });
-  }
-  void Fire() {
-    sim::Simulator& sim = runner->shard(shard);
-    trace.emplace_back(sim.Now(), seq);
-    ++seq;
-    if (seq % 3 == 0) {
-      const uint32_t dst = (shard + 1) % runner->num_shards();
-      ShardScript* target = &(*all)[dst];
-      const uint32_t tag = 1000u * (shard + 1) + seq;
-      // Offsets straddle the lookahead: short ones exercise the clamp,
-      // long ones land in a later window untouched.
-      const SimTime off = 5 + static_cast<SimTime>(rng.NextBounded(128));
-      runner->Post(shard, dst, sim.Now() + off, [target, tag] {
-        target->trace.emplace_back(
-            target->runner->shard(target->shard).Now(), tag);
-      });
-    }
-    if (--remaining > 0) Arm();
-  }
-};
-
-struct ScriptOutcome {
-  std::vector<std::vector<std::pair<SimTime, uint32_t>>> traces;
-  uint64_t windows = 0;
-  uint64_t posts = 0;
-  uint64_t events = 0;
-  SimTime end = 0;
-};
-
-ScriptOutcome RunShardScript(uint32_t jobs, uint64_t seed) {
-  constexpr uint32_t kShards = 4;
-  sim::ShardedRunner runner(kShards, /*lookahead=*/50, jobs);
-  // Fixed size up front: callbacks capture element addresses.
-  std::vector<ShardScript> scripts(kShards);
-  for (uint32_t s = 0; s < kShards; ++s) {
-    scripts[s].runner = &runner;
-    scripts[s].all = &scripts;
-    scripts[s].shard = s;
-    scripts[s].remaining = 200;
-    scripts[s].rng.Seed(seed + s);
-    scripts[s].Arm();
-  }
-  ScriptOutcome out;
-  out.end = runner.Run();
-  out.windows = runner.windows();
-  out.posts = runner.posts_delivered();
-  out.events = runner.events_executed();
-  for (auto& sc : scripts) out.traces.push_back(std::move(sc.trace));
-  return out;
-}
-
-TEST(ShardedRunnerTest, IdenticalForEveryJobsValue) {
-  const uint64_t seed = testutil::TestSeed(0x5ead);
-  const ScriptOutcome serial = RunShardScript(1, seed);
-  ASSERT_GT(serial.events, 800u);  // 4 shards x 200 self-events + posts
-  ASSERT_GT(serial.posts, 0u);
-  for (uint32_t jobs : {2u, 4u}) {
-    const ScriptOutcome par = RunShardScript(jobs, seed);
-    EXPECT_EQ(par.traces, serial.traces) << "jobs=" << jobs;
-    EXPECT_EQ(par.windows, serial.windows) << "jobs=" << jobs;
-    EXPECT_EQ(par.posts, serial.posts) << "jobs=" << jobs;
-    EXPECT_EQ(par.events, serial.events) << "jobs=" << jobs;
-    EXPECT_EQ(par.end, serial.end) << "jobs=" << jobs;
-  }
-}
-
-TEST(ShardedRunnerTest, LookaheadClampsAndWindowsAccount) {
-  sim::ShardedRunner runner(2, /*lookahead=*/100, 1);
-  std::vector<std::pair<SimTime, int>> got;
-  auto record = [&got, &runner](int tag) {
-    return [&got, &runner, tag] {
-      got.emplace_back(runner.shard(1).Now(), tag);
-    };
-  };
-  // Bootstrap: shard 0 wakes at t=10 and posts three events to shard 1 —
-  // one inside the window (must clamp to its end), one exactly at the
-  // horizon, one a full window later.
-  runner.Post(0, 0, 10, [&runner, &record] {
-    const SimTime now = runner.shard(0).Now();  // 10; window end is 110
-    runner.Post(0, 1, now + 40, record(1));     // 50 -> clamps to 110
-    runner.Post(0, 1, 110, record(2));          // exactly the horizon
-    runner.Post(0, 1, 200, record(3));          // next window
-  });
-  runner.Run();
-  const std::vector<std::pair<SimTime, int>> expected = {
-      {110, 1}, {110, 2}, {200, 3}};
-  EXPECT_EQ(got, expected);
-  // Window 1 runs shard 0's t=10 event; window 2 (opening at t=110) runs
-  // all three deliveries — 200 < 110 + 100 + lookahead slack.
-  EXPECT_EQ(runner.windows(), 2u);
-  // Bootstrap post + the three cross-shard deliveries.
-  EXPECT_EQ(runner.posts_delivered(), 4u);
-  EXPECT_EQ(runner.events_executed(), 4u);
-}
-
-TEST(ShardedRunnerTest, SameInstantPostsMergeInSourceFifoOrder) {
-  // Two sources post to the same destination at the same instant: the
-  // merge must order by (when, src, FIFO-within-src), never by thread
-  // scheduling. With when equal, src 0's posts land before src 1's.
-  for (uint32_t jobs : {1u, 3u}) {
-    sim::ShardedRunner runner(3, /*lookahead=*/10, jobs);
-    std::vector<int> order;
-    runner.Post(0, 2, 100, [&order] { order.push_back(1); });
-    runner.Post(0, 2, 100, [&order] { order.push_back(2); });
-    runner.Post(1, 2, 100, [&order] { order.push_back(3); });
-    runner.Post(1, 2, 100, [&order] { order.push_back(4); });
-    runner.Run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4})) << "jobs=" << jobs;
-  }
-}
-
 // ---------------------------------------------------------------------------
 // End to end: the replay-gate property at unit-test scale.
 // ---------------------------------------------------------------------------
@@ -240,20 +78,14 @@ std::string Slurp(const std::string& path) {
 }
 
 // Nemesis sweeps must produce identical per-seed results and identical
-// history bytes for every {jobs, sharded} combination. "crash" covers
-// crash/restart faults spanning shards; "churn" covers join/leave
-// membership churn (vnode moves cancel and re-arm timers across shards).
-TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
+// history bytes for every jobs value. "crash" covers crash/restart faults;
+// "churn" covers join/leave membership churn (vnode moves cancel and
+// re-arm timers).
+TEST(NemesisParallelTest, JobsAreByteIdentical) {
   for (const std::string& plan : {std::string("crash"), std::string("churn")}) {
-    struct Variant {
-      uint32_t jobs;
-      bool sharded;
-    };
-    const Variant variants[] = {{1, false}, {2, false}, {1, true}, {2, true}};
-
     std::vector<check::NemesisResult> results;
     std::vector<std::string> histories;
-    for (const Variant& v : variants) {
+    for (const uint32_t jobs : {1u, 2u}) {
       check::NemesisOptions opt;
       opt.base_seed = 7;
       opt.seeds = 2;
@@ -262,11 +94,9 @@ TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
       opt.num_clients = 2;
       opt.ops_per_client = 60;
       opt.run_for = 120 * kMillisecond;
-      opt.jobs = v.jobs;
-      opt.sharded = v.sharded;
+      opt.jobs = jobs;
       opt.history_out = std::string(testing::TempDir()) + "/nemesis_" + plan +
-                        "_j" + std::to_string(v.jobs) +
-                        (v.sharded ? "_sharded" : "_serial") + ".history";
+                        "_j" + std::to_string(jobs) + ".history";
       results.push_back(check::RunNemesisSweep(opt));
       histories.push_back(Slurp(opt.history_out));
       ASSERT_FALSE(histories.back().empty());
@@ -276,11 +106,11 @@ TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
     ASSERT_EQ(base.seeds.size(), 2u);
     for (size_t v = 1; v < results.size(); ++v) {
       const check::NemesisResult& r = results[v];
-      ASSERT_EQ(r.seeds.size(), base.seeds.size()) << "variant " << v;
+      ASSERT_EQ(r.seeds.size(), base.seeds.size()) << "jobs index " << v;
       for (size_t i = 0; i < base.seeds.size(); ++i) {
         EXPECT_EQ(r.seeds[i].seed, base.seeds[i].seed);
         EXPECT_EQ(r.seeds[i].verdict, base.seeds[i].verdict)
-            << "plan=" << plan << " variant=" << v << " seed index " << i;
+            << "plan=" << plan << " jobs index " << v << " seed index " << i;
         EXPECT_EQ(r.seeds[i].ops, base.seeds[i].ops);
         EXPECT_EQ(r.seeds[i].completed, base.seeds[i].completed);
         EXPECT_EQ(r.seeds[i].steps, base.seeds[i].steps);
@@ -289,73 +119,10 @@ TEST(NemesisParallelTest, JobsAndShardingAreByteIdentical) {
       EXPECT_EQ(r.violating_seeds, base.violating_seeds);
       EXPECT_EQ(r.inconclusive_seeds, base.inconclusive_seeds);
       EXPECT_EQ(histories[v], histories[0])
-          << "plan=" << plan << " variant " << v
+          << "plan=" << plan << " jobs index " << v
           << ": history bytes diverged from the serial oracle";
     }
   }
-}
-
-// A full ClusterSim run with the sharded event loop must match the default
-// loop byte for byte: same completion counts, same simulator event count,
-// same metrics snapshot from an injected per-run registry.
-TEST(ShardedClusterTest, ShardedRunMatchesSerialRun) {
-  auto run = [](bool sharded) {
-    obs::Registry registry;
-    ClusterConfig cfg;
-    cfg.num_nodes = 3;
-    cfg.num_clients = 2;
-    cfg.seed = 0xabc;
-    cfg.sharded = sharded;
-    cfg.node.platform = sim::StingrayJbof();
-    cfg.node.stack = StackKind::kLeed;
-    cfg.node.crrs = true;
-    cfg.node.metrics_registry = &registry;
-    cfg.node.engine.ssd_count = 2;
-    cfg.node.engine.stores_per_ssd = 2;
-    cfg.node.engine.ssd = sim::Dct983Spec();
-    cfg.node.engine.ssd.capacity_bytes = 1ull << 30;
-    cfg.node.engine.store_template.num_segments = 512;
-    cfg.node.engine.store_template.bucket_size = 512;
-    cfg.client.crrs_reads = true;
-    cfg.client.stores_per_ssd = 2;
-    cfg.control_plane.replication_factor = 3;
-
-    ClusterSim cluster(std::move(cfg));
-    cluster.Bootstrap();
-    cluster.Preload(64, 64);
-
-    workload::YcsbConfig wc;
-    wc.mix = workload::Mix::kB;
-    wc.num_keys = 64;
-    wc.value_size = 64;
-    wc.zipf_theta = 0.9;
-    wc.seed = 0x5eed;
-    workload::YcsbGenerator gen(wc);
-
-    ClusterSim::DriveOptions opt;
-    opt.concurrency_per_client = 8;
-    opt.warmup = 10 * kMillisecond;
-    opt.duration = 60 * kMillisecond;
-    RunResult r = cluster.Run(gen, opt);
-
-    struct Outcome {
-      uint64_t completed;
-      uint64_t errors;
-      uint64_t events;
-      std::string metrics;
-    };
-    return Outcome{r.completed, r.errors,
-                   cluster.simulator().events_executed(),
-                   registry.SnapshotJson()};
-  };
-
-  const auto serial = run(false);
-  const auto sharded = run(true);
-  ASSERT_GT(serial.completed, 0u);
-  EXPECT_EQ(sharded.completed, serial.completed);
-  EXPECT_EQ(sharded.errors, serial.errors);
-  EXPECT_EQ(sharded.events, serial.events);
-  EXPECT_EQ(sharded.metrics, serial.metrics);
 }
 
 }  // namespace

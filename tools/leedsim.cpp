@@ -10,9 +10,13 @@
 // Prints throughput, latency percentiles, power, and requests/Joule in the
 // paper's units, plus per-node counters with --verbose.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <map>
 #include <string>
 
@@ -51,12 +55,10 @@ struct Options {
   std::string trace_out;    // enable the event trace and write it here
   std::string fault_plan;   // sim::ParseFaultPlan grammar (docs/FAULTS.md)
 
-  // Parallel execution (docs/PARALLEL_SIM.md). jobs drives the seed sweep
-  // in check mode (0 = one per host core); sharded switches the event loop
-  // to the per-participant sharded mode. Both are byte-identical to the
-  // serial defaults — CI's replay gate diffs them every push.
+  // Seed-sweep threads in check mode (docs/PARALLEL_SIM.md; 0 = one per
+  // host core). Byte-identical to the serial default — CI's replay gate
+  // diffs them every push.
   uint32_t jobs = 1;
-  bool sharded = false;
 
   // Consistency-checking mode (docs/CHECKING.md): --check=linearizability
   // switches leedsim from benchmarking to a nemesis seed sweep.
@@ -67,7 +69,6 @@ struct Options {
   std::string history_out;      // full history of the first seed
   bool unsafe_dirty_reads = false;  // TEST-ONLY mutation switch
   bool unsafe_torn_scans = false;   // TEST-ONLY scan mutation switch
-  bool cross_shard_touch = false;   // TEST-ONLY shard-purity mutation switch
   // Check-mode data-loss gate: by default any seed whose recovery abandoned
   // copies (cluster.copies_abandoned > 0) fails the run with exit 1.
   bool allow_data_loss = false;
@@ -102,9 +103,6 @@ void Usage(const char* argv0) {
       "parallel execution (docs/PARALLEL_SIM.md):\n"
       "  --jobs=N                   seed-sweep worker threads in check mode\n"
       "                             (default 1 = serial; 0 = all host cores)\n"
-      "  --sharded                  sharded event loop (per-node shards,\n"
-      "                             conservative lookahead); byte-identical\n"
-      "                             to the default serial loop\n"
       "consistency checking (docs/CHECKING.md):\n"
       "  --check=linearizability    run a nemesis seed sweep + checker instead\n"
       "                             of a benchmark; exit 0 = all seeds\n"
@@ -122,10 +120,7 @@ void Usage(const char* argv0) {
       "                             the sweep is expected to FAIL (self-test)\n"
       "  --unsafe-torn-scans        TEST-ONLY: serve SCANs without parking on\n"
       "                             dirty keys; with a scan workload the sweep\n"
-      "                             is expected to FAIL (self-test)\n"
-      "  --cross-shard-touch        TEST-ONLY: dispatch node messages on the\n"
-      "                             wrong shard; with --sharded, a debug\n"
-      "                             build's shard checker must abort\n",
+      "                             is expected to FAIL (self-test)\n",
       argv0);
 }
 
@@ -136,6 +131,35 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
     return true;
   }
   return false;
+}
+
+// Numeric flag values parse strictly: the whole string must be a number
+// that fits the field. "3x", "abc", "-1" and overflow are rejected rather
+// than truncated, wrapped or thrown. --nodes, --keys, --concurrency,
+// --duration-ms and --seeds must also be nonzero: a run with none of them
+// measures or checks nothing (zero keys divides by zero in the workload
+// generator).
+template <typename T>
+bool ParseUint(const std::string& s, T* out, int base = 10) {
+  if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, base);
+  if (errno == ERANGE || *end != '\0' || v > std::numeric_limits<T>::max()) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+bool ParseDouble(const std::string& s, double* out) {
+  if (s.empty() || std::isspace(static_cast<unsigned char>(s[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s.c_str(), &end);
+  if (errno == ERANGE || *end != '\0' || !std::isfinite(v)) return false;
+  *out = v;
+  return true;
 }
 
 workload::Mix ParseMix(const std::string& m) {
@@ -178,7 +202,6 @@ int RunCheckMode(const Options& opt) {
     no.offload = opt.offload;
     no.unsafe_dirty_reads = opt.unsafe_dirty_reads;
     no.unsafe_torn_scans = opt.unsafe_torn_scans;
-    no.cross_shard_touch = opt.cross_shard_touch;
     if (opt.workload == "ycsbe") {
       // Scan-heavy consistency mix: SCANs dominate reads but writes stay
       // frequent enough that scans keep racing dirty windows (a pure
@@ -195,7 +218,6 @@ int RunCheckMode(const Options& opt) {
     no.dump_dir = opt.check_dump_dir;
     no.verbose = opt.verbose;
     no.jobs = opt.jobs;
-    no.sharded = opt.sharded;
     no.allow_data_loss = opt.allow_data_loss;
     if (!opt.history_out.empty()) {
       no.history_out = plans.size() == 1 ? opt.history_out
@@ -318,17 +340,22 @@ int main(int argc, char** argv) {
   Options opt;
   for (int i = 1; i < argc; ++i) {
     std::string v;
+    bool ok = true;  // false: a numeric value is malformed or out of range
     if (ParseFlag(argv[i], "--system", &v)) opt.system = v;
-    else if (ParseFlag(argv[i], "--nodes", &v)) opt.nodes = std::stoul(v);
+    else if (ParseFlag(argv[i], "--nodes", &v))
+      ok = ParseUint(v, &opt.nodes) && opt.nodes > 0;
     else if (ParseFlag(argv[i], "--mix", &v)) opt.mix = v;
     else if (ParseFlag(argv[i], "--workload", &v)) opt.workload = v;
-    else if (ParseFlag(argv[i], "--value-size", &v)) opt.value_size = std::stoul(v);
-    else if (ParseFlag(argv[i], "--keys", &v)) opt.keys = std::stoull(v);
-    else if (ParseFlag(argv[i], "--skew", &v)) opt.skew = std::stod(v);
-    else if (ParseFlag(argv[i], "--concurrency", &v)) opt.concurrency = std::stoul(v);
-    else if (ParseFlag(argv[i], "--rate-kqps", &v)) opt.rate_kqps = std::stod(v);
-    else if (ParseFlag(argv[i], "--duration-ms", &v)) opt.duration_ms = std::stoull(v);
-    else if (ParseFlag(argv[i], "--seed", &v)) opt.seed = std::stoull(v, nullptr, 0);
+    else if (ParseFlag(argv[i], "--value-size", &v)) ok = ParseUint(v, &opt.value_size);
+    else if (ParseFlag(argv[i], "--keys", &v))
+      ok = ParseUint(v, &opt.keys) && opt.keys > 0;
+    else if (ParseFlag(argv[i], "--skew", &v)) ok = ParseDouble(v, &opt.skew);
+    else if (ParseFlag(argv[i], "--concurrency", &v))
+      ok = ParseUint(v, &opt.concurrency) && opt.concurrency > 0;
+    else if (ParseFlag(argv[i], "--rate-kqps", &v)) ok = ParseDouble(v, &opt.rate_kqps);
+    else if (ParseFlag(argv[i], "--duration-ms", &v))
+      ok = ParseUint(v, &opt.duration_ms) && opt.duration_ms > 0;
+    else if (ParseFlag(argv[i], "--seed", &v)) ok = ParseUint(v, &opt.seed, /*base=*/0);
     else if (std::strcmp(argv[i], "--no-crrs") == 0) opt.crrs = false;
     else if (std::strcmp(argv[i], "--no-flow-control") == 0) opt.flow_control = false;
     else if (std::strcmp(argv[i], "--no-data-swap") == 0) opt.data_swap = false;
@@ -336,10 +363,10 @@ int main(int argc, char** argv) {
     else if (ParseFlag(argv[i], "--metrics-out", &v)) opt.metrics_out = v;
     else if (ParseFlag(argv[i], "--trace-out", &v)) opt.trace_out = v;
     else if (ParseFlag(argv[i], "--fault-plan", &v)) opt.fault_plan = v;
-    else if (ParseFlag(argv[i], "--jobs", &v)) opt.jobs = std::stoul(v);
-    else if (std::strcmp(argv[i], "--sharded") == 0) opt.sharded = true;
+    else if (ParseFlag(argv[i], "--jobs", &v)) ok = ParseUint(v, &opt.jobs);
     else if (ParseFlag(argv[i], "--check", &v)) opt.check = v;
-    else if (ParseFlag(argv[i], "--seeds", &v)) opt.seeds = std::stoul(v);
+    else if (ParseFlag(argv[i], "--seeds", &v))
+      ok = ParseUint(v, &opt.seeds) && opt.seeds > 0;
     else if (ParseFlag(argv[i], "--check-plan", &v)) opt.check_plan = v;
     else if (ParseFlag(argv[i], "--check-dump-dir", &v)) opt.check_dump_dir = v;
     else if (ParseFlag(argv[i], "--history-out", &v)) opt.history_out = v;
@@ -349,14 +376,18 @@ int main(int argc, char** argv) {
       opt.unsafe_dirty_reads = true;
     else if (std::strcmp(argv[i], "--unsafe-torn-scans") == 0)
       opt.unsafe_torn_scans = true;
-    else if (std::strcmp(argv[i], "--cross-shard-touch") == 0)
-      opt.cross_shard_touch = true;
     else if (std::strcmp(argv[i], "--verbose") == 0) opt.verbose = true;
     else if (std::strcmp(argv[i], "--help") == 0 || std::strcmp(argv[i], "-h") == 0) {
       Usage(argv[0]);
       return 0;
     } else {
       std::fprintf(stderr, "unknown flag '%s'\n", argv[i]);
+      Usage(argv[0]);
+      return 2;
+    }
+    if (!ok) {
+      const int name_len = static_cast<int>(std::strchr(argv[i], '=') - argv[i]);
+      std::fprintf(stderr, "bad value for %.*s\n", name_len, argv[i]);
       Usage(argv[0]);
       return 2;
     }
@@ -394,8 +425,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.client.flow_control = opt.flow_control;
-  cfg.sharded = opt.sharded;
-  cfg.node.test_only_cross_shard_touch = opt.cross_shard_touch;
 
   std::printf("leedsim: %s x%u, %s, %uB values, %llu keys, skew %.2f, %s\n",
               opt.system.c_str(), opt.nodes, ("YCSB-" + opt.mix).c_str(),
