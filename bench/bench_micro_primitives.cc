@@ -1,12 +1,11 @@
 // Microbenchmarks (google-benchmark) for the hot primitives on the real
 // host CPU: hashing, Zipf sampling, histogram recording, bucket codec,
-// SPSC ring, B+-tree, and the discrete-event loop itself. These bound the
+// SPSC ring, and the discrete-event loop itself. These bound the
 // simulator's own overhead and the per-op cost of the data structures a
 // SmartNIC core would actually execute.
 
 #include <benchmark/benchmark.h>
 
-#include "baselines/btree_index.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rand.h"
@@ -71,19 +70,6 @@ void BM_SpscRingPushPop(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SpscRingPushPop);
-
-void BM_BTreeFind(benchmark::State& state) {
-  baselines::BTreeIndex tree;
-  for (int i = 0; i < 100000; ++i) {
-    tree.Insert("user" + std::to_string(i), {static_cast<uint64_t>(i), 0});
-  }
-  Rng rng(3);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        tree.Find("user" + std::to_string(rng.NextBounded(100000))));
-  }
-}
-BENCHMARK(BM_BTreeFind);
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {

@@ -91,13 +91,13 @@ void KvellStore::Execute(Pending p) {
 }
 
 void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
-  // The B-tree walk dominates CPU cost — this is the charge that saturates
-  // SmartNIC cores (Table 3's KVell-JBOF row).
+  // KVell's B-tree walk dominates CPU cost — this is the charge that
+  // saturates SmartNIC cores (Table 3's KVell-JBOF row).
   core_.Run(Cycles(config_.costs.index_op), [this, shared] {
     switch (shared->kind) {
       case Pending::Kind::kGet: {
-        auto loc = index_.Find(shared->key);
-        if (!loc) {
+        auto it = index_.find(shared->key);
+        if (it == index_.end()) {
           stats_.not_found++;
           core_.Run(Cycles(config_.costs.complete), [this, shared] {
             shared->get_cb(Status::NotFound(), {});
@@ -109,7 +109,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         sim::IoRequest req;
         req.type = sim::IoType::kRead;
         req.pattern = sim::IoPattern::kRandom;
-        req.offset = SlotOffset(loc->slot);
+        req.offset = SlotOffset(it->second);
         req.length = slot_bytes_;
         device_.Submit(std::move(req), [this, shared](sim::IoResult r) {
           core_.Run(Cycles(config_.costs.complete),
@@ -150,9 +150,9 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         encoded.resize(slot_bytes_, 0);
 
         uint64_t slot;
-        auto loc = index_.Find(shared->key);
-        if (loc) {
-          slot = loc->slot;  // in-place update
+        auto it = index_.find(shared->key);
+        if (it != index_.end()) {
+          slot = it->second;  // in-place update
         } else if (!free_slots_.empty()) {
           slot = free_slots_.back();
           free_slots_.pop_back();
@@ -179,7 +179,7 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
           core_.Run(Cycles(config_.costs.complete),
                     [this, shared, slot, st = std::move(r.status)]() mutable {
             if (st.ok()) {
-              index_.Insert(shared->key, BTreeIndex::Location{slot, slot_bytes_});
+              index_.insert_or_assign(shared->key, slot);
             }
             shared->op_cb(std::move(st));
             Finish();
@@ -188,8 +188,8 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
         return;
       }
       case Pending::Kind::kDel: {
-        auto loc = index_.Find(shared->key);
-        if (!loc) {
+        auto it = index_.find(shared->key);
+        if (it == index_.end()) {
           stats_.not_found++;
           core_.Run(Cycles(config_.costs.complete), [this, shared] {
             shared->op_cb(Status::Ok());  // idempotent delete
@@ -197,8 +197,8 @@ void KvellStore::ExecuteNow(std::shared_ptr<Pending> shared) {
           });
           return;
         }
-        uint64_t slot = loc->slot;
-        index_.Erase(shared->key);
+        uint64_t slot = it->second;
+        index_.erase(it);
         free_slots_.push_back(slot);
         // KVell persists the freelist lazily; the in-place tombstone write
         // models the metadata update.

@@ -4,10 +4,10 @@
 // Faithful properties:
 //   * shared-nothing: one KvellStore per core, no cross-partition
 //     synchronization;
-//   * in-memory sorted B+-tree index (btree_index.h) mapping key ->
-//     fixed-size slot; the per-op index cost in cycles is the calibration
-//     constant that makes KVell CPU-bound on ARM (Table 3) while the wide
-//     Xeon divides it by its ipc factor;
+//   * in-memory sorted index mapping key -> fixed-size slot (an ordered
+//     map); KVell's B-tree walk is charged as the calibrated per-op
+//     `index_op` cycles that make KVell CPU-bound on ARM (Table 3) while
+//     the wide Xeon divides it by its ipc factor;
 //   * no log, no GC: items live in size-class slots updated IN PLACE —
 //     1 SSD access per op, but writes are *random* (the device model's
 //     page-program penalty is exactly why KVell-JBOF writes cap near the
@@ -19,12 +19,12 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <functional>
+#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
-#include "baselines/btree_index.h"
 #include "common/status.h"
 #include "sim/block_device.h"
 #include "sim/cpu_model.h"
@@ -75,7 +75,9 @@ class KvellStore {
   void Del(std::string key, OpCallback callback);
 
   const KvellStats& stats() const { return stats_; }
-  const BTreeIndex& index() const { return index_; }
+  // key -> slot number in the partition's data file.
+  using Index = std::map<std::string, uint64_t, std::less<>>;
+  const Index& index() const { return index_; }
   size_t queue_depth() const { return queue_.size(); }
   uint64_t slots_in_use() const { return next_slot_ - free_slots_.size(); }
 
@@ -111,7 +113,7 @@ class KvellStore {
   KvellConfig config_;
   uint32_t slot_bytes_;
 
-  BTreeIndex index_;
+  Index index_;
   std::vector<uint64_t> free_slots_;
   uint64_t next_slot_ = 0;
 

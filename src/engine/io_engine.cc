@@ -481,7 +481,7 @@ void IoEngine::Retire(uint32_t ssd, uint32_t cost, SimTime started,
   p.tokens.Refund(cost);
 
   ResponseMeta meta;
-  meta.available_tokens = AvailableTokensFor(ssd, req.tenant);
+  meta.available_tokens = p.tokens.available();
   meta.ssd = ssd;
   meta.server_time_ns = sim_.Now() - req.enqueued_at;
   Deliver(req, std::move(status), std::move(value), std::move(items), meta);
@@ -525,22 +525,6 @@ uint32_t IoEngine::FailedSsdCount() const {
     if (p->failed) ++n;
   }
   return n;
-}
-
-uint32_t IoEngine::AvailableTokensFor(uint32_t ssd, uint32_t tenant) const {
-  const uint32_t available = per_ssd_[ssd]->tokens.available();
-  const auto& weights = config_.tenant_weights;
-  if (weights.empty()) return available;
-  double total = 0;
-  for (double w : weights) total += w;
-  // Tenants beyond the configured vector carry weight 1 conceptually, but
-  // the advertised split only covers configured tenants; others get the
-  // smallest configured share so they stay live.
-  double mine = tenant < weights.size()
-                    ? weights[tenant]
-                    : *std::min_element(weights.begin(), weights.end());
-  if (total <= 0) return available;
-  return static_cast<uint32_t>(static_cast<double>(available) * mine / total);
 }
 
 void IoEngine::PumpWaiting(uint32_t ssd) {

@@ -66,12 +66,6 @@ struct EngineConfig {
   bool offload_enabled = false;
   uint64_t offload_index_consult_cycles = 300;
 
-  // Weighted token allocation across co-located tenants (§3.5). Empty =>
-  // every tenant is advertised the full pool (single-tenant deployments).
-  // tenant_weights[t] is tenant t's share weight; tenants beyond the
-  // vector get weight 1.
-  std::vector<double> tenant_weights;
-
   // Cap on co-scheduled compaction runs across this JBOF's stores
   // (Fig. 13b's inter-parallelism knob). 0 = unlimited.
   uint32_t max_concurrent_compactions = 0;
@@ -188,9 +182,6 @@ class IoEngine : public StorageService {
   uint32_t AvailableTokens(uint32_t ssd) const override {
     return per_ssd_[ssd]->tokens.available();
   }
-  // The share of `ssd`'s available tokens advertised to `tenant` under the
-  // configured weights.
-  uint32_t AvailableTokensFor(uint32_t ssd, uint32_t tenant) const;
   size_t WaitQueueDepth(uint32_t ssd) const { return per_ssd_[ssd]->waiting.Size(); }
   size_t ActiveCount(uint32_t ssd) const { return per_ssd_[ssd]->active; }
 

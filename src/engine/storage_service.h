@@ -34,9 +34,6 @@ struct Request {
   std::string key;
   std::vector<uint8_t> value;  // PUT payload
   uint32_t store_id = 0;       // virtual node / partition index on this node
-  // Tenant identity for weighted token allocation (§3.5: each SSD splits
-  // its available tokens among co-located tenants in a weighted fashion).
-  uint32_t tenant = 0;
   std::function<void(Status, std::vector<uint8_t>, ResponseMeta)> callback;
   // SCAN: the requested result cap, the pre-resolved (key, location)
   // snapshot from the owning store's range index — taken by the node layer

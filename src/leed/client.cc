@@ -18,8 +18,8 @@ Client::Client(sim::Simulator& simulator, sim::Network& network,
       cp_endpoint_(control_plane),
       node_endpoints_(node_endpoints),
       config_(std::move(config)),
-      backoff_rng_(Mix64(config_.backoff_seed ^ 0xbac0ffULL)),
-      token_view_(config_.initial_tokens) {
+      token_view_(config_.initial_tokens),
+      backoff_rng_(Mix64(config_.backoff_seed ^ 0xbac0ffULL)) {
   endpoint_ = net_.AddEndpoint(config_.nic);
   net_.SetReceiver(endpoint_, [this](sim::Message m) { OnMessage(std::move(m)); });
   scheduler_ = std::make_unique<flowctl::FlowScheduler>(token_view_,
@@ -183,7 +183,6 @@ void Client::Issue(std::shared_ptr<Inflight> op) {
   msg.vnode = vnode;
   msg.hop = hop;
   msg.view_epoch = view_.epoch;
-  msg.tenant = config_.tenant_id;
   msg.reply_to = endpoint_;
 
   flowctl::OutRequest out;

@@ -54,8 +54,6 @@ struct ClientConfig {
   sim::NicSpec nic;            // 100GbE x86 client by default
   uint32_t stores_per_ssd = 4; // vnode -> SSD mapping for token accounts
   int64_t initial_tokens = 16;
-  // Weighted-allocation identity presented to back-end SSDs (§3.5).
-  uint32_t tenant_id = 0;
   engine::TokenConfig token_costs;  // per-op costs (GET 2 / PUT 3 / DEL 2)
   // Observability: when `metrics_prefix` is non-empty the embedded flow
   // scheduler registers "<metrics_prefix>.sched.*" (ClusterSim wires

@@ -519,7 +519,6 @@ void Node::ServeScanLocally(ClientRequestMsg req, uint32_t local_store,
   sreq.type = engine::OpType::kScan;
   sreq.key = req.key;
   sreq.store_id = local_store;
-  sreq.tenant = req.tenant;
   sreq.scan_limit = req.scan_limit;
   sreq.scan_snapshot = std::move(snapshot);
   auto shared = std::make_shared<ClientRequestMsg>(std::move(req));
@@ -598,7 +597,6 @@ void Node::ServeGetLocally(ClientRequestMsg req, uint32_t local_store) {
   sreq.type = engine::OpType::kGet;
   sreq.key = std::move(req.key);
   sreq.store_id = local_store;
-  sreq.tenant = req.tenant;
   auto reply_to = req.reply_to;
   auto req_id = req.req_id;
   sreq.callback = [this, reply_to, req_id, local_store](
@@ -638,7 +636,6 @@ bool Node::TryOffloadGet(ClientRequestMsg& req) {
   sreq.type = engine::OpType::kGet;
   sreq.key = req.key;  // copy: req must stay intact if the engine punts
   sreq.store_id = local_store;
-  sreq.tenant = req.tenant;
   const auto reply_to = req.reply_to;
   const auto req_id = req.req_id;
   sreq.callback = [this, reply_to, req_id, local_store](

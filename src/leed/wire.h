@@ -35,7 +35,6 @@ struct ClientRequestMsg {
   cluster::VNodeId vnode = cluster::kInvalidVNode;  // addressed chain member
   uint8_t hop = 0;            // expected index of `vnode` in the key's chain
   uint64_t view_epoch = 0;    // client's view at issue time
-  uint32_t tenant = 0;        // weighted token allocation identity (§3.5)
   sim::EndpointId reply_to = sim::kInvalidEndpoint;
   bool shipped = false;       // CRRS: GET/SCAN shipped replica -> tail
 };

@@ -1,272 +1,59 @@
 #include "store/range_index.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cstdio>
 
 namespace leed::store {
 
-// B+-tree: all key/location pairs live in leaves; inner nodes hold
-// separator keys where separator[i] == smallest key of children[i+1]'s
-// subtree. Deletion removes from the leaf without rebalancing (nodes may
-// underflow; empty nodes are pruned) — fine for an index whose workload is
-// overwhelmingly upsert/lookup, and documented in CheckInvariants.
-struct RangeIndex::Node {
-  bool leaf = true;
-  std::vector<std::string> keys;
-  // Leaf payload:
-  std::vector<ValueLoc> locs;
-  // Inner children: children.size() == keys.size() + 1.
-  std::vector<std::unique_ptr<Node>> children;
-};
-
-struct RangeIndex::InsertResult {
-  bool inserted_new = false;
-  // Set when the child split: new right sibling and its smallest key.
-  std::unique_ptr<Node> split_right;
-  std::string split_key;
-};
-
-RangeIndex::RangeIndex() : root_(std::make_unique<Node>()) {}
-RangeIndex::~RangeIndex() = default;
-
-namespace {
-
-// Index of the child subtree a key belongs to.
-size_t ChildIndex(const std::vector<std::string>& seps, std::string_view key) {
-  size_t i = 0;
-  while (i < seps.size() && key >= seps[i]) ++i;
-  return i;
-}
-
-}  // namespace
-
-RangeIndex::InsertResult RangeIndex::InsertRec(Node* node, std::string_view key,
-                                               ValueLoc loc) {
-  InsertResult result;
-  if (node->leaf) {
-    auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-    size_t idx = static_cast<size_t>(it - node->keys.begin());
-    if (it != node->keys.end() && *it == key) {
-      node->locs[idx] = loc;  // overwrite
-      return result;
-    }
-    node->keys.insert(it, std::string(key));
-    node->locs.insert(node->locs.begin() + static_cast<long>(idx), loc);
-    result.inserted_new = true;
-    if (node->keys.size() >= kFanout) {
-      size_t mid = node->keys.size() / 2;
-      auto right = std::make_unique<Node>();
-      right->leaf = true;
-      right->keys.assign(node->keys.begin() + static_cast<long>(mid),
-                         node->keys.end());
-      right->locs.assign(node->locs.begin() + static_cast<long>(mid),
-                         node->locs.end());
-      node->keys.resize(mid);
-      node->locs.resize(mid);
-      result.split_key = right->keys.front();
-      result.split_right = std::move(right);
-    }
-    return result;
-  }
-
-  size_t ci = ChildIndex(node->keys, key);
-  InsertResult child = InsertRec(node->children[ci].get(), key, loc);
-  result.inserted_new = child.inserted_new;
-  if (child.split_right) {
-    node->keys.insert(node->keys.begin() + static_cast<long>(ci),
-                      std::move(child.split_key));
-    node->children.insert(node->children.begin() + static_cast<long>(ci) + 1,
-                          std::move(child.split_right));
-    if (node->children.size() > kFanout) {
-      size_t mid = node->keys.size() / 2;  // separator promoted upward
-      auto right = std::make_unique<Node>();
-      right->leaf = false;
-      result.split_key = std::move(node->keys[mid]);
-      right->keys.assign(
-          std::make_move_iterator(node->keys.begin() + static_cast<long>(mid) + 1),
-          std::make_move_iterator(node->keys.end()));
-      for (size_t i = mid + 1; i < node->children.size(); ++i) {
-        right->children.push_back(std::move(node->children[i]));
-      }
-      node->keys.resize(mid);
-      node->children.resize(mid + 1);
-      result.split_right = std::move(right);
-    }
-  }
-  return result;
-}
-
 bool RangeIndex::Upsert(std::string_view key, ValueLoc loc) {
-  InsertResult r = InsertRec(root_.get(), key, loc);
-  if (r.split_right) {
-    auto new_root = std::make_unique<Node>();
-    new_root->leaf = false;
-    new_root->keys.push_back(std::move(r.split_key));
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(r.split_right));
-    root_ = std::move(new_root);
+  auto it = map_.lower_bound(key);
+  if (it != map_.end() && it->first == key) {
+    it->second = loc;  // overwrite
+    return false;
   }
-  if (r.inserted_new) {
-    ++size_;
-    key_bytes_ += key.size();
-  }
-  return r.inserted_new;
+  map_.emplace_hint(it, std::string(key), loc);
+  return true;
+}
+
+bool RangeIndex::Erase(std::string_view key) {
+  auto it = map_.find(key);
+  if (it == map_.end()) return false;
+  map_.erase(it);
+  return true;
 }
 
 std::optional<RangeIndex::ValueLoc> RangeIndex::Find(std::string_view key) const {
-  const Node* node = root_.get();
-  while (!node->leaf) {
-    node = node->children[ChildIndex(node->keys, key)].get();
-  }
-  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-  if (it != node->keys.end() && *it == key) {
-    return node->locs[static_cast<size_t>(it - node->keys.begin())];
-  }
-  return std::nullopt;
+  auto it = map_.find(key);
+  if (it == map_.end()) return std::nullopt;
+  return it->second;
 }
 
 bool RangeIndex::Repair(std::string_view key, const ValueLoc& from,
                         const ValueLoc& to) {
-  Node* node = root_.get();
-  while (!node->leaf) {
-    node = node->children[ChildIndex(node->keys, key)].get();
-  }
-  auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-  if (it == node->keys.end() || *it != key) return false;
-  ValueLoc& loc = node->locs[static_cast<size_t>(it - node->keys.begin())];
-  if (!(loc == from)) return false;  // a newer PUT owns this entry
-  loc = to;
-  return true;
-}
-
-bool RangeIndex::EraseRec(Node* node, std::string_view key) {
-  if (node->leaf) {
-    auto it = std::lower_bound(node->keys.begin(), node->keys.end(), key);
-    if (it == node->keys.end() || *it != key) return false;
-    size_t idx = static_cast<size_t>(it - node->keys.begin());
-    key_bytes_ -= it->size();
-    node->keys.erase(it);
-    node->locs.erase(node->locs.begin() + static_cast<long>(idx));
-    return true;
-  }
-  size_t ci = ChildIndex(node->keys, key);
-  Node* child = node->children[ci].get();
-  bool erased = EraseRec(child, key);
-  // Prune empty leaves (no rebalancing).
-  if (erased && child->leaf && child->keys.empty() && node->children.size() > 1) {
-    node->children.erase(node->children.begin() + static_cast<long>(ci));
-    if (ci > 0) {
-      node->keys.erase(node->keys.begin() + static_cast<long>(ci) - 1);
-    } else {
-      node->keys.erase(node->keys.begin());
-    }
-  }
-  return erased;
-}
-
-bool RangeIndex::Erase(std::string_view key) {
-  bool erased = EraseRec(root_.get(), key);
-  if (erased) --size_;
-  // Collapse a single-child root.
-  while (!root_->leaf && root_->children.size() == 1) {
-    root_ = std::move(root_->children.front());
-  }
-  return erased;
-}
-
-void RangeIndex::Clear() {
-  root_ = std::make_unique<Node>();
-  size_ = 0;
-  key_bytes_ = 0;
-}
-
-int RangeIndex::height() const {
-  int h = 1;
-  const Node* node = root_.get();
-  while (!node->leaf) {
-    node = node->children.front().get();
-    ++h;
-  }
-  return h;
-}
-
-bool RangeIndex::VisitRec(
-    const Node* node, std::string_view start,
-    const std::function<bool(const std::string&, const ValueLoc&)>& fn) const {
-  if (node->leaf) {
-    auto it = std::lower_bound(node->keys.begin(), node->keys.end(), start);
-    for (size_t i = static_cast<size_t>(it - node->keys.begin());
-         i < node->keys.size(); ++i) {
-      if (!fn(node->keys[i], node->locs[i])) return false;
-    }
-    return true;
-  }
-  for (size_t ci = ChildIndex(node->keys, start); ci < node->children.size();
-       ++ci) {
-    if (!VisitRec(node->children[ci].get(), start, fn)) return false;
-    // Subtrees right of the entry subtree are visited whole.
-    start = std::string_view();
-  }
+  auto it = map_.find(key);
+  // A location other than `from` means a newer PUT owns the entry.
+  if (it == map_.end() || !(it->second == from)) return false;
+  it->second = to;
   return true;
 }
 
 void RangeIndex::VisitFrom(
     std::string_view start,
     const std::function<bool(const std::string&, const ValueLoc&)>& fn) const {
-  VisitRec(root_.get(), start, fn);
+  for (auto it = map_.lower_bound(start); it != map_.end(); ++it) {
+    if (!fn(it->first, it->second)) return;
+  }
 }
 
 void RangeIndex::Visit(
     const std::function<void(const std::string&, const ValueLoc&)>& fn) const {
-  VisitFrom("", [&fn](const std::string& k, const ValueLoc& l) {
-    fn(k, l);
-    return true;
-  });
-}
-
-bool RangeIndex::CheckInvariants() const {
-  // Keys strictly increase in-order; all leaves at the same depth; node
-  // sizes within bounds; size_ matches the entry count.
-  std::string prev;
-  bool first = true;
-  bool ordered = true;
-  size_t count = 0;
-  Visit([&](const std::string& k, const ValueLoc&) {
-    if (!first && prev >= k) ordered = false;
-    prev = k;
-    first = false;
-    ++count;
-  });
-  if (!ordered || count != size_) return false;
-
-  int leaf_depth = -1;
-  bool uniform = true;
-  std::function<void(const Node*, int)> walk = [&](const Node* n, int depth) {
-    if (!uniform) return;
-    if (n->leaf) {
-      if (leaf_depth < 0) leaf_depth = depth;
-      if (depth != leaf_depth) uniform = false;
-      if (n->keys.size() != n->locs.size()) uniform = false;
-      if (n->keys.size() >= kFanout) uniform = false;
-      return;
-    }
-    if (n->children.size() != n->keys.size() + 1) {
-      uniform = false;
-      return;
-    }
-    if (n->children.size() > kFanout) uniform = false;
-    for (const auto& c : n->children) walk(c.get(), depth + 1);
-  };
-  walk(root_.get(), 0);
-  return uniform;
+  for (const auto& [key, loc] : map_) fn(key, loc);
 }
 
 std::string RangeIndex::DebugDump() const {
   std::string out;
-  out.reserve(size_ * 32);
-  Visit([&out](const std::string& k, const ValueLoc& l) {
-    for (char c : k) {
+  out.reserve(map_.size() * 32);
+  for (const auto& [key, l] : map_) {
+    for (char c : key) {
       if (c <= ' ' || c == '%' || c == 0x7f) {
         char esc[4];
         std::snprintf(esc, sizeof esc, "%%%02x", static_cast<unsigned char>(c));
@@ -279,14 +66,8 @@ std::string RangeIndex::DebugDump() const {
     std::snprintf(buf, sizeof buf, " %u %llu %u\n", static_cast<unsigned>(l.ssd),
                   static_cast<unsigned long long>(l.offset), l.value_len);
     out += buf;
-  });
+  }
   return out;
-}
-
-size_t RangeIndex::ApproxDramBytes() const {
-  // Per-entry: key bytes + ValueLoc + leaf vector slots; inner nodes add
-  // ~1/kFanout overhead, folded into the constant.
-  return key_bytes_ + size_ * (sizeof(ValueLoc) + sizeof(std::string) + 16);
 }
 
 }  // namespace leed::store

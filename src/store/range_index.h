@@ -1,10 +1,10 @@
 // DRAM range index (ordered view over the key log).
 //
 // LEED's hash layout (SegTbl + bucket chains) answers point ops in 2/3/2
-// NVMe accesses but cannot answer range queries. This B+-tree — promoted
-// from the KVell baseline's `baselines::BTreeIndex` substrate — keeps a
-// sorted key -> value-log-location map in DRAM alongside SegTbl, following
-// KVell's sorted-in-DRAM / unsorted-on-SSD split:
+// NVMe accesses but cannot answer range queries. An ordered map
+// (`std::map`) keeps a sorted key -> value-log-location map in DRAM
+// alongside SegTbl, following KVell's sorted-in-DRAM / unsorted-on-SSD
+// split:
 //
 //   * PUT/DEL maintain it at commit time (upsert / erase-on-tombstone),
 //   * recovery rebuilds it from a full bucket scan of the recovered SegTbl,
@@ -14,17 +14,18 @@
 //
 // SCAN takes a synchronous snapshot of the ordered (key, location) run via
 // VisitFrom — one simulator event, hence atomic with respect to the store —
-// and then fetches the immutable value-log entries asynchronously.
+// and then fetches the immutable value-log entries asynchronously. The
+// walk's CPU cost is charged from calibration (`scan_index_per_item`), so
+// the map's in-memory shape never reaches sim time.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
+#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace leed::store {
 
@@ -41,9 +42,7 @@ class RangeIndex {
     }
   };
 
-  RangeIndex();
-  ~RangeIndex();
-
+  RangeIndex() = default;
   RangeIndex(const RangeIndex&) = delete;
   RangeIndex& operator=(const RangeIndex&) = delete;
 
@@ -57,9 +56,8 @@ class RangeIndex {
   // true if the entry was repointed.
   bool Repair(std::string_view key, const ValueLoc& from, const ValueLoc& to);
 
-  void Clear();
-  size_t size() const { return size_; }
-  int height() const;
+  void Clear() { map_.clear(); }
+  size_t size() const { return map_.size(); }
 
   // In-order visit of every entry with key >= start; stop when fn returns
   // false. Synchronous — callers snapshot under one simulator event.
@@ -71,33 +69,13 @@ class RangeIndex {
   void Visit(const std::function<void(const std::string&, const ValueLoc&)>&
                  fn) const;
 
-  // Structural invariants (tests): strict key ordering, uniform leaf depth,
-  // fanout bounds. Returns false and stops early on violation.
-  bool CheckInvariants() const;
-
   // Deterministic full serialization ("key ssd offset len\n" per entry, keys
   // percent-escaped) — the byte-for-byte comparison oracle the crash-torture
   // harness uses against a fresh bucket scan.
   std::string DebugDump() const;
 
-  // Approximate DRAM footprint (index-memory accounting, analysis/).
-  size_t ApproxDramBytes() const;
-
-  static constexpr int kFanout = 16;  // max children per inner node
-
  private:
-  struct Node;
-  struct InsertResult;
-
-  InsertResult InsertRec(Node* node, std::string_view key, ValueLoc loc);
-  bool EraseRec(Node* node, std::string_view key);
-  bool VisitRec(const Node* node, std::string_view start,
-                const std::function<bool(const std::string&, const ValueLoc&)>&
-                    fn) const;
-
-  std::unique_ptr<Node> root_;
-  size_t size_ = 0;
-  size_t key_bytes_ = 0;
+  std::map<std::string, ValueLoc, std::less<>> map_;
 };
 
 }  // namespace leed::store

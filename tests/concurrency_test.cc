@@ -1,8 +1,7 @@
 // Multi-threaded stress tests for the pieces of the tree that carry a
-// cross-thread contract: SpscRing (single producer / single consumer),
-// TokenPool (internally synchronized), the obs Registry's cold paths
-// (registration / lookup / snapshot under a lock, instruments
-// single-writer).
+// cross-thread contract: SpscRing (single producer / single consumer) and
+// the obs Registry's cold paths (registration / lookup / snapshot under a
+// lock, instruments single-writer).
 //
 // These tests are the workload behind the TSan CI job (LEED_SANITIZE=thread,
 // Debug build): TSan proves the atomics/locks are sufficient, and the Debug
@@ -11,15 +10,12 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "engine/spsc_ring.h"
-#include "engine/token_bucket.h"
 #include "obs/metrics.h"
 
 namespace leed {
@@ -72,52 +68,6 @@ TEST(SpscRingConcurrencyTest, FrontAndPopShareTheConsumerRole) {
   auto v = ring.TryPop();
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(*v, 7);
-}
-
-// ---------------------------------------------------------------------------
-// TokenPool: hammer TryTake/Refund/OnIoCompleted from several threads; the
-// pool must never report more in-use tokens than its capacity bound allows
-// and must end balanced once every taker refunds.
-// ---------------------------------------------------------------------------
-
-TEST(TokenPoolConcurrencyTest, TakeRefundRescaleFromManyThreads) {
-  engine::TokenConfig cfg;
-  cfg.base_tokens = 64;
-  cfg.min_tokens = 8;
-  cfg.max_tokens = 128;
-  engine::TokenPool pool(cfg);
-
-  constexpr int kThreads = 4;
-  constexpr int kIterations = 20000;
-  std::atomic<uint64_t> takes{0};
-
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int i = 0; i < kIterations; ++i) {
-        const uint32_t cost = 2 + static_cast<uint32_t>((t + i) % 3);
-        if (pool.TryTake(cost)) {
-          takes.fetch_add(1, std::memory_order_relaxed);
-          // Feed latencies that oscillate around the reference so Rescale
-          // runs both the shrink and grow paths while tokens are in flight.
-          const SimTime latency =
-              (i % 2 == 0 ? 40 : 90) * kMicrosecond;
-          pool.OnIoCompleted(latency);
-          pool.Refund(cost);
-        }
-        const uint32_t cap = pool.capacity();
-        EXPECT_GE(cap, cfg.min_tokens);
-        EXPECT_LE(cap, cfg.max_tokens);
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  EXPECT_GT(takes.load(), 0u);
-  // Every take was refunded, so the pool must be back to full.
-  EXPECT_EQ(pool.in_use(), 0u);
-  EXPECT_EQ(pool.available(), pool.capacity());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 // Functional tests of the LEED data store: command correctness, chain
 // growth, NVMe access counts (the paper's 2/3/2), compaction (key log and
-// value log), data swapping, and the COPY primitive.
+// value log), data swapping, the COPY primitive, and the RangeIndex
+// contract.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "log/circular_log.h"
@@ -15,6 +18,7 @@
 #include "sim/simulator.h"
 #include "store/compaction.h"
 #include "store/data_store.h"
+#include "store/range_index.h"
 #include "test_util.h"
 
 namespace leed::store {
@@ -473,6 +477,97 @@ TEST_F(DataStoreTest, CopyOutEmptyStore) {
   testutil::RunUntilFlag(sim_, done);
   EXPECT_TRUE(done);
   EXPECT_EQ(items, 0);
+}
+
+// ---------------------------------------------------------------------------
+// RangeIndex contract: the ordered (key -> value-log location) map that SCAN,
+// recovery and compaction repair drive through DataStore.
+// ---------------------------------------------------------------------------
+
+using Loc = RangeIndex::ValueLoc;
+
+std::vector<std::string> KeysFrom(const RangeIndex& idx, std::string_view start,
+                                  size_t stop_after = SIZE_MAX) {
+  std::vector<std::string> keys;
+  idx.VisitFrom(start, [&](const std::string& k, const Loc&) {
+    keys.push_back(k);
+    return keys.size() < stop_after;
+  });
+  return keys;
+}
+
+TEST(RangeIndexTest, UpsertReportsNewKeysAndOverwrites) {
+  RangeIndex idx;
+  EXPECT_TRUE(idx.Upsert("b", Loc{0, 10, 4}));
+  EXPECT_TRUE(idx.Upsert("a", Loc{1, 20, 5}));
+  EXPECT_FALSE(idx.Upsert("b", Loc{2, 30, 6}));  // overwrite, not new
+  EXPECT_EQ(idx.size(), 2u);
+  ASSERT_TRUE(idx.Find("b").has_value());
+  EXPECT_EQ(*idx.Find("b"), (Loc{2, 30, 6}));
+  EXPECT_FALSE(idx.Find("c").has_value());
+}
+
+TEST(RangeIndexTest, EraseOfMissingKeyReturnsFalse) {
+  RangeIndex idx;
+  EXPECT_FALSE(idx.Erase("a"));
+  idx.Upsert("a", Loc{0, 1, 1});
+  EXPECT_TRUE(idx.Erase("a"));
+  EXPECT_FALSE(idx.Erase("a"));
+  EXPECT_EQ(idx.size(), 0u);
+  idx.Upsert("x", Loc{});
+  idx.Clear();
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_FALSE(idx.Find("x").has_value());
+}
+
+TEST(RangeIndexTest, VisitFromStartsAtLowerBoundAndStopsOnFalse) {
+  RangeIndex idx;
+  for (const char* k : {"k10", "k30", "k20", "k40"}) idx.Upsert(k, Loc{});
+  EXPECT_EQ(KeysFrom(idx, ""),
+            (std::vector<std::string>{"k10", "k20", "k30", "k40"}));
+  // A start between two keys begins at the next larger key.
+  EXPECT_EQ(KeysFrom(idx, "k25"), (std::vector<std::string>{"k30", "k40"}));
+  // An exact start is inclusive.
+  EXPECT_EQ(KeysFrom(idx, "k20"),
+            (std::vector<std::string>{"k20", "k30", "k40"}));
+  // Past the last key visits nothing.
+  EXPECT_TRUE(KeysFrom(idx, "k5").empty());
+  // The visitor's false return stops the walk after that entry.
+  EXPECT_EQ(KeysFrom(idx, "k15", 2), (std::vector<std::string>{"k20", "k30"}));
+
+  std::vector<std::string> all;
+  idx.Visit([&](const std::string& k, const Loc&) { all.push_back(k); });
+  EXPECT_EQ(all, KeysFrom(idx, ""));
+}
+
+TEST(RangeIndexTest, RepairRepointsOnlyOnExactFromMatch) {
+  RangeIndex idx;
+  const Loc old_loc{0, 100, 8};
+  const Loc moved{0, 900, 8};
+  idx.Upsert("k", old_loc);
+  // A `from` differing in any field means a newer PUT owns the entry.
+  EXPECT_FALSE(idx.Repair("k", Loc{1, 100, 8}, moved));
+  EXPECT_FALSE(idx.Repair("k", Loc{0, 101, 8}, moved));
+  EXPECT_FALSE(idx.Repair("k", Loc{0, 100, 9}, moved));
+  EXPECT_EQ(*idx.Find("k"), old_loc);
+  EXPECT_FALSE(idx.Repair("missing", old_loc, moved));
+  EXPECT_FALSE(idx.Find("missing").has_value());
+  EXPECT_TRUE(idx.Repair("k", old_loc, moved));
+  EXPECT_EQ(*idx.Find("k"), moved);
+}
+
+TEST(RangeIndexTest, DebugDumpEscapesSeparatorsPercentAndDel) {
+  RangeIndex idx;
+  idx.Upsert("b c", Loc{1, 4096, 100});
+  idx.Upsert("a%", Loc{0, 0, 7});
+  idx.Upsert(std::string("d\x7f") + "e\n", Loc{3, 1ull << 40, 1});
+  idx.Upsert("plain", Loc{2, 12, 34});
+  EXPECT_EQ(idx.DebugDump(),
+            "a%25 0 0 7\n"
+            "b%20c 1 4096 100\n"
+            "d%7fe%0a 3 1099511627776 1\n"
+            "plain 2 12 34\n");
+  EXPECT_EQ(RangeIndex().DebugDump(), "");
 }
 
 }  // namespace

@@ -1,75 +1,14 @@
-// Tests for the extension features: weighted multi-tenant token allocation
-// (§3.5) and the CRAQ-style version-query read mode (§3.7's design
+// Tests for the CRAQ-style version-query read mode (§3.7's design
 // alternative, kept as an ablation).
 
 #include <gtest/gtest.h>
 
-#include "engine/io_engine.h"
 #include "leed/cluster_sim.h"
 #include "sim/fault.h"
 #include "test_util.h"
 
 namespace leed {
 namespace {
-
-TEST(TenantWeightsTest, AdvertisedTokensSplitByWeight) {
-  sim::Simulator simulator;
-  sim::CpuModel cpu(simulator, 8, 3.0);
-  engine::EngineConfig cfg;
-  cfg.ssd_count = 1;
-  cfg.stores_per_ssd = 1;
-  cfg.ssd = sim::Dct983Spec();
-  cfg.ssd.capacity_bytes = 1ull << 30;
-  cfg.tokens.base_tokens = 100;
-  cfg.tokens.min_tokens = 100;
-  cfg.tokens.max_tokens = 100;
-  cfg.tenant_weights = {3.0, 1.0};  // tenant 0 gets 75%, tenant 1 gets 25%
-  engine::IoEngine eng(simulator, cpu, cfg, 1);
-
-  EXPECT_EQ(eng.AvailableTokensFor(0, 0), 75u);
-  EXPECT_EQ(eng.AvailableTokensFor(0, 1), 25u);
-  // Unknown tenants get the smallest configured share.
-  EXPECT_EQ(eng.AvailableTokensFor(0, 9), 25u);
-  // No weights configured => full pool for everyone.
-  cfg.tenant_weights.clear();
-  engine::IoEngine flat(simulator, cpu, cfg, 2);
-  EXPECT_EQ(flat.AvailableTokensFor(0, 0), 100u);
-  EXPECT_EQ(flat.AvailableTokensFor(0, 7), 100u);
-}
-
-TEST(TenantWeightsTest, ResponseMetaCarriesTenantShare) {
-  sim::Simulator simulator;
-  sim::CpuModel cpu(simulator, 8, 3.0);
-  engine::EngineConfig cfg;
-  cfg.ssd_count = 1;
-  cfg.stores_per_ssd = 1;
-  cfg.ssd = sim::Dct983Spec();
-  cfg.ssd.capacity_bytes = 1ull << 30;
-  cfg.ssd.latency_jitter = 0;
-  cfg.ssd.slow_io_prob = 0;
-  cfg.tokens.base_tokens = 80;
-  cfg.tokens.min_tokens = 80;
-  cfg.tokens.max_tokens = 80;
-  cfg.tenant_weights = {1.0, 1.0, 2.0};
-  engine::IoEngine eng(simulator, cpu, cfg, 3);
-
-  uint32_t t0_tokens = 0, t2_tokens = 0;
-  for (uint32_t tenant : {0u, 2u}) {
-    engine::Request req;
-    req.type = engine::OpType::kGet;
-    req.key = "missing";
-    req.store_id = 0;
-    req.tenant = tenant;
-    req.callback = [&, tenant](Status, std::vector<uint8_t>,
-                               engine::ResponseMeta meta) {
-      (tenant == 0 ? t0_tokens : t2_tokens) = meta.available_tokens;
-    };
-    eng.Submit(std::move(req));
-    simulator.Run();
-  }
-  EXPECT_EQ(t0_tokens, 20u);  // 80 * 1/4
-  EXPECT_EQ(t2_tokens, 40u);  // 80 * 2/4
-}
 
 // ---------------------------------------------------------------------------
 // CRAQ version-query read mode
