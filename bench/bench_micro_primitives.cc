@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the hot primitives on the real
 // host CPU: hashing, Zipf sampling, histogram recording, bucket codec,
-// SPSC ring, and the discrete-event loop itself. These bound the
+// and the discrete-event loop itself. These bound the
 // simulator's own overhead and the per-op cost of the data structures a
 // SmartNIC core would actually execute.
 
@@ -10,7 +10,6 @@
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "common/zipf.h"
-#include "engine/spsc_ring.h"
 #include "sim/simulator.h"
 #include "store/format.h"
 
@@ -60,16 +59,6 @@ void BM_BucketEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketEncodeDecode);
-
-void BM_SpscRingPushPop(benchmark::State& state) {
-  engine::SpscRing<uint64_t> ring(1024);
-  uint64_t i = 0;
-  for (auto _ : state) {
-    ring.TryPush(i++);
-    benchmark::DoNotOptimize(ring.TryPop());
-  }
-}
-BENCHMARK(BM_SpscRingPushPop);
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {

@@ -347,13 +347,13 @@ void IoEngine::Submit(Request req) {
     Execute(ssd, std::move(req));
     return;
   }
-  const uint64_t trace_id = req.trace_id;
-  const bool queued_write = IsWriteOp(req.type);
-  if (p.waiting.TryPush(std::move(req))) {
-    if (queued_write) ++p.waiting_writes;
+  if (p.waiting.size() < config_.wait_queue_capacity) {
+    if (IsWriteOp(req.type)) ++p.waiting_writes;
     m_.waited->Inc();
+    p.waiting.push_back(std::move(req));
     trace_->Record(sim_.Now(), obs::TraceKind::kQueueEnter, config_.node_id,
-                   ssd, trace_id, static_cast<int64_t>(p.waiting.Size()));
+                   ssd, p.waiting.back().trace_id,
+                   static_cast<int64_t>(p.waiting.size()));
     return;
   }
   // Waiting queue full: the SSD is overloaded; reject so flow control can
@@ -364,7 +364,6 @@ void IoEngine::Submit(Request req) {
   meta.ssd = ssd;
   trace_->Record(sim_.Now(), obs::TraceKind::kOpEnd, config_.node_id, ssd,
                  req.trace_id, static_cast<int64_t>(StatusCode::kOverloaded));
-  // `req` was moved into TryPush only on success; on failure it is intact.
   Deliver(req, Status::Overloaded("waiting queue full"), {}, {}, meta);
 }
 
@@ -529,14 +528,16 @@ uint32_t IoEngine::FailedSsdCount() const {
 
 void IoEngine::PumpWaiting(uint32_t ssd) {
   PerSsd& p = *per_ssd_[ssd];
-  while (const Request* front = p.waiting.Front()) {
-    const uint32_t cost = RequestTokenCost(p.tokens.config(), *front);
+  while (!p.waiting.empty()) {
+    Request& front = p.waiting.front();
+    const uint32_t cost = RequestTokenCost(p.tokens.config(), front);
     if (!p.tokens.TryTake(cost)) break;  // FCFS: no reordering past the head
-    auto req = p.waiting.TryPop();
-    if (IsWriteOp(req->type) && p.waiting_writes > 0) --p.waiting_writes;
+    Request req = std::move(front);
+    p.waiting.pop_front();
+    if (IsWriteOp(req.type) && p.waiting_writes > 0) --p.waiting_writes;
     trace_->Record(sim_.Now(), obs::TraceKind::kQueueLeave, config_.node_id,
-                   ssd, req->trace_id, static_cast<int64_t>(p.waiting.Size()));
-    Execute(ssd, std::move(*req));
+                   ssd, req.trace_id, static_cast<int64_t>(p.waiting.size()));
+    Execute(ssd, std::move(req));
   }
 }
 
@@ -576,13 +577,13 @@ void IoEngine::SwapCheck() {
     // traffic (fast-path GETs never enter the waiting queue), so a device
     // saturated by fast-path reads would otherwise look like the perfect
     // donor.
-    const size_t my_depth = per_ssd_[i]->waiting.Size();
+    const size_t my_depth = per_ssd_[i]->waiting.size();
     const size_t my_load = my_depth + per_ssd_[i]->active;
     uint32_t best = i;
     size_t best_load = my_load;
     for (uint32_t j = 0; j < n; ++j) {
       if (j == i || per_ssd_[j]->failed) continue;  // dead donors absorb nothing
-      size_t d = per_ssd_[j]->waiting.Size() + per_ssd_[j]->active;
+      size_t d = per_ssd_[j]->waiting.size() + per_ssd_[j]->active;
       if (d < best_load) {
         best_load = d;
         best = j;

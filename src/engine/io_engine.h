@@ -5,7 +5,7 @@
 //     (no dispatcher core — LEED takes the load-agnostic pipeline and adds
 //     admission control rather than burning a core on load-aware dispatch);
 //   * per-SSD active queue (in-flight commands holding tokens) and a
-//     shallow bounded waiting queue (lock-free ring), FCFS;
+//     shallow waiting queue of at most wait_queue_capacity requests, FCFS;
 //   * token admission: a command executes only when the SSD's token pool —
 //     continuously rescaled from measured per-IO latency — covers its cost;
 //     a full waiting queue rejects with kOverloaded, which the inter-JBOF
@@ -18,13 +18,13 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/histogram.h"
-#include "engine/spsc_ring.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "engine/storage_service.h"
@@ -182,8 +182,9 @@ class IoEngine : public StorageService {
   uint32_t AvailableTokens(uint32_t ssd) const override {
     return per_ssd_[ssd]->tokens.available();
   }
-  size_t WaitQueueDepth(uint32_t ssd) const { return per_ssd_[ssd]->waiting.Size(); }
-  size_t ActiveCount(uint32_t ssd) const { return per_ssd_[ssd]->active; }
+  size_t WaitQueueDepth(uint32_t ssd) const {
+    return per_ssd_[ssd]->waiting.size();
+  }
 
   // Built on demand from the registry handles; the engine records through
   // leed::obs, this struct is the legacy view over it.
@@ -205,10 +206,9 @@ class IoEngine : public StorageService {
 
  private:
   struct PerSsd {
-    explicit PerSsd(const EngineConfig& cfg)
-        : tokens(cfg.tokens), waiting(cfg.wait_queue_capacity) {}
+    explicit PerSsd(const EngineConfig& cfg) : tokens(cfg.tokens) {}
     TokenPool tokens;
-    SpscRing<Request> waiting;
+    std::deque<Request> waiting;  // FCFS; Submit caps it at wait_queue_capacity
     size_t active = 0;
     size_t waiting_writes = 0;  // queued PUT/DELETEs — the swappable share
     uint32_t consecutive_io_errors = 0;

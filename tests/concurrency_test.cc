@@ -1,12 +1,11 @@
-// Multi-threaded stress tests for the pieces of the tree that carry a
-// cross-thread contract: SpscRing (single producer / single consumer) and
-// the obs Registry's cold paths (registration / lookup / snapshot under a
-// lock, instruments single-writer).
+// Multi-threaded stress test for the obs Registry's cold paths
+// (registration / lookup / snapshot under a lock, instruments
+// single-writer): the one lock-guarded structure that components may reach
+// from different threads.
 //
-// These tests are the workload behind the TSan CI job (LEED_SANITIZE=thread,
-// Debug build): TSan proves the atomics/locks are sufficient, and the Debug
-// build additionally arms SpscRing's role-pinning asserts. They also run in
-// the plain build where they act as ordinary correctness stress tests.
+// This is part of the workload behind the TSan CI job (LEED_SANITIZE=thread,
+// Debug build), where TSan proves the lock is sufficient. It also runs in
+// the plain build as an ordinary correctness stress test.
 
 #include <gtest/gtest.h>
 
@@ -15,60 +14,10 @@
 #include <thread>
 #include <vector>
 
-#include "engine/spsc_ring.h"
 #include "obs/metrics.h"
 
 namespace leed {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SpscRing: one producer thread, one consumer thread, every element arrives
-// exactly once and in order.
-// ---------------------------------------------------------------------------
-
-TEST(SpscRingConcurrencyTest, SingleProducerSingleConsumerOrdered) {
-  constexpr uint64_t kItems = 200000;
-  engine::SpscRing<uint64_t> ring(1024);
-
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kItems;) {
-      if (ring.TryPush(uint64_t{i})) {
-        ++i;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-
-  uint64_t expected = 0;
-  uint64_t sum = 0;
-  while (expected < kItems) {
-    if (auto v = ring.TryPop()) {
-      ASSERT_EQ(*v, expected) << "ring reordered or duplicated an element";
-      sum += *v;
-      ++expected;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  producer.join();
-
-  EXPECT_EQ(sum, kItems * (kItems - 1) / 2);
-  EXPECT_TRUE(ring.Empty());
-}
-
-TEST(SpscRingConcurrencyTest, FrontAndPopShareTheConsumerRole) {
-  engine::SpscRing<int> ring(4);
-  ASSERT_TRUE(ring.TryPush(7));
-  // Front and TryPop from the same thread is the supported consumer
-  // pattern; the debug role-pinning must accept one thread playing both
-  // endpoint roles.
-  ASSERT_NE(ring.Front(), nullptr);
-  EXPECT_EQ(*ring.Front(), 7);
-  auto v = ring.TryPop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7);
-}
 
 // ---------------------------------------------------------------------------
 // Registry: concurrent registration of distinct and identical names, each

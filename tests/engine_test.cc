@@ -1,101 +1,20 @@
-// Tests for the intra-JBOF engine: the lock-free SPSC ring (including a
-// real multi-threaded stress test), the adaptive token pool, and the
+// Tests for the intra-JBOF engine: the adaptive token pool and the
 // IoEngine's admission / queueing / data-swap behaviour.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
+#include <algorithm>
 #include <vector>
 
 #include "engine/io_engine.h"
-#include "engine/spsc_ring.h"
 #include "engine/token_bucket.h"
+#include "obs/trace.h"
 #include "sim/cpu_model.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 
 namespace leed::engine {
 namespace {
-
-// ---------------------------------------------------------------------------
-// SPSC ring
-// ---------------------------------------------------------------------------
-
-TEST(SpscRingTest, FifoOrder) {
-  SpscRing<int> ring(8);
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(ring.TryPush(i));
-  for (int i = 0; i < 5; ++i) {
-    auto v = ring.TryPop();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(ring.TryPop().has_value());
-}
-
-TEST(SpscRingTest, FullAndEmptyBoundaries) {
-  SpscRing<int> ring(4);  // rounds to capacity >= 4
-  size_t pushed = 0;
-  while (ring.TryPush(static_cast<int>(pushed))) ++pushed;
-  EXPECT_GE(pushed, 4u);
-  EXPECT_EQ(ring.Size(), pushed);
-  while (ring.TryPop().has_value()) {
-  }
-  EXPECT_TRUE(ring.Empty());
-  // Reusable after wrap.
-  EXPECT_TRUE(ring.TryPush(42));
-  EXPECT_EQ(*ring.TryPop(), 42);
-}
-
-TEST(SpscRingTest, FrontPeeksWithoutConsuming) {
-  SpscRing<int> ring(4);
-  EXPECT_EQ(ring.Front(), nullptr);
-  ring.TryPush(9);
-  ASSERT_NE(ring.Front(), nullptr);
-  EXPECT_EQ(*ring.Front(), 9);
-  EXPECT_EQ(ring.Size(), 1u);
-}
-
-TEST(SpscRingTest, MoveOnlyPayload) {
-  SpscRing<std::unique_ptr<int>> ring(4);
-  EXPECT_TRUE(ring.TryPush(std::make_unique<int>(5)));
-  auto v = ring.TryPop();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(**v, 5);
-}
-
-TEST(SpscRingTest, TwoThreadStress) {
-  // Real concurrency: one producer, one consumer, 1M items, values must
-  // arrive exactly once and in order.
-  constexpr uint64_t kItems = 1'000'000;
-  SpscRing<uint64_t> ring(1024);
-  std::atomic<bool> fail{false};
-
-  std::thread producer([&] {
-    for (uint64_t i = 0; i < kItems; ++i) {
-      while (!ring.TryPush(i)) std::this_thread::yield();
-    }
-  });
-  std::thread consumer([&] {
-    uint64_t expected = 0;
-    while (expected < kItems) {
-      auto v = ring.TryPop();
-      if (!v) {
-        std::this_thread::yield();
-        continue;
-      }
-      if (*v != expected) {
-        fail = true;
-        break;
-      }
-      ++expected;
-    }
-  });
-  producer.join();
-  consumer.join();
-  EXPECT_FALSE(fail.load());
-  EXPECT_TRUE(ring.Empty());
-}
 
 // ---------------------------------------------------------------------------
 // Token pool
@@ -255,8 +174,14 @@ TEST_F(IoEngineTest, FullWaitingQueueRejectsOverloaded) {
   cfg.tokens.min_tokens = 2;
   cfg.tokens.max_tokens = 2;
   cfg.wait_queue_capacity = 4;
+  obs::TraceRing trace;
+  trace.set_enabled(true);
+  cfg.trace = &trace;
   IoEngine engine(sim_, cpu, cfg, 1);
   int overloaded = 0, accepted = 0;
+  // All 40 submits land before any completion: the 2 tokens cover exactly
+  // one GET (cost 2), the next 4 fill the queue, and the other 35 are
+  // refused.
   for (int i = 0; i < 40; ++i) {
     Request req;
     req.type = OpType::kGet;
@@ -272,10 +197,23 @@ TEST_F(IoEngineTest, FullWaitingQueueRejectsOverloaded) {
     };
     engine.Submit(std::move(req));
   }
+  EXPECT_EQ(engine.WaitQueueDepth(0), 4u);
   sim_.Run();
-  EXPECT_GT(overloaded, 0);
-  EXPECT_GT(accepted, 0);
-  EXPECT_EQ(engine.stats().rejected_overloaded, static_cast<uint64_t>(overloaded));
+  EXPECT_EQ(accepted, 5);
+  EXPECT_EQ(overloaded, 35);
+  EXPECT_EQ(engine.stats().rejected_overloaded, 35u);
+  EXPECT_EQ(engine.stats().waited, 4u);
+
+  // FCFS: queued requests leave in the order they were submitted (trace
+  // ids are assigned in submit order).
+  std::vector<uint64_t> entered, left;
+  for (const obs::TraceEvent& e : trace.Events()) {
+    if (e.kind == obs::TraceKind::kQueueEnter) entered.push_back(e.id);
+    if (e.kind == obs::TraceKind::kQueueLeave) left.push_back(e.id);
+  }
+  ASSERT_EQ(entered.size(), 4u);
+  EXPECT_TRUE(std::is_sorted(entered.begin(), entered.end()));
+  EXPECT_EQ(left, entered);
 }
 
 TEST_F(IoEngineTest, TokensPropagateInResponseMeta) {
