@@ -1,17 +1,19 @@
 // Microbenchmarks (google-benchmark) for the hot primitives on the real
-// host CPU: hashing, Zipf sampling, histogram recording, bucket codec,
-// and the discrete-event loop itself. These bound the
+// host CPU: hashing, Zipf sampling, histogram recording, CRC-32, bucket
+// codec, value generation and the discrete-event loop itself. These bound the
 // simulator's own overhead and the per-op cost of the data structures a
 // SmartNIC core would actually execute.
 
 #include <benchmark/benchmark.h>
 
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rand.h"
 #include "common/zipf.h"
 #include "sim/simulator.h"
 #include "store/format.h"
+#include "workload/ycsb.h"
 
 namespace leed {
 namespace {
@@ -43,6 +45,19 @@ void BM_HistogramRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRecord);
 
+// One bucket (512 B) and one page-sized record (4 KiB).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> buf(static_cast<size_t>(state.range(0)));
+  Rng rng(3);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(buf.data(), buf.size()));
+    benchmark::ClobberMemory();  // the buffer may have changed: no hoisting
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(512)->Arg(4096);
+
 void BM_BucketEncodeDecode(benchmark::State& state) {
   store::Bucket b;
   for (int i = 0; i < 12; ++i) {
@@ -59,6 +74,21 @@ void BM_BucketEncodeDecode(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BucketEncodeDecode);
+
+void BM_MakeValue(benchmark::State& state) {
+  workload::YcsbConfig cfg;
+  cfg.num_keys = 1000;
+  cfg.value_size = 1024;
+  workload::YcsbGenerator gen(cfg);
+  uint64_t key = 0;
+  for (auto _ : state) {
+    auto v = gen.MakeValue(key++ % cfg.num_keys);
+    benchmark::DoNotOptimize(v.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() * cfg.value_size);
+}
+BENCHMARK(BM_MakeValue);
 
 void BM_SimulatorEventLoop(benchmark::State& state) {
   for (auto _ : state) {

@@ -29,7 +29,7 @@ std::string EscapeKey(const std::string& key) {
       out.append(buf);
     }
   }
-  if (out.empty()) out = "%";  // empty key marker (expands to nothing)
+  if (out.empty()) out.push_back('%');  // empty key marker (expands to nothing)
   return out;
 }
 

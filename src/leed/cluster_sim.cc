@@ -79,22 +79,36 @@ void ClusterSim::Preload(uint64_t num_keys, uint32_t value_size) {
   wc.value_size = value_size;
   workload::YcsbGenerator gen(wc);
 
+  const cluster::ClusterView& view = cp_->view();
+  cluster::HashRing ring = view.ServingRing();
+  uint64_t ring_epoch = view.epoch;
+
   const uint64_t batch = 512;
   uint64_t issued = 0;
   uint64_t completed = 0;
+  auto put = [&](cluster::VNodeId v, std::string key, std::vector<uint8_t> value) {
+    const cluster::VNodeInfo* info = view.Find(v);
+    if (!info) return;
+    ++completed;  // the completion callback decrements it
+    nodes_[info->owner_node]->DirectPut(info->local_store, std::move(key), std::move(value),
+                                        [&completed](Status) { --completed; });
+  };
   while (issued < num_keys) {
+    // The view changes only inside sim_->Step(), so one ring serves a batch.
+    if (view.epoch != ring_epoch) {
+      ring = view.ServingRing();
+      ring_epoch = view.epoch;
+    }
     uint64_t upto = std::min(num_keys, issued + batch);
     for (; issued < upto; ++issued) {
       std::string key = workload::YcsbGenerator::KeyName(issued);
-      auto chain = cp_->view().ChainForKey(key);
-      for (cluster::VNodeId v : chain) {
-        const cluster::VNodeInfo* info = cp_->view().Find(v);
-        if (!info) continue;
-        ++completed;  // decremented on completion below via counter trick
-        nodes_[info->owner_node]->DirectPut(
-            info->local_store, key, gen.MakeValue(issued),
-            [&completed](Status) { --completed; });
-      }
+      auto chain = ring.ChainOf(cluster::HashRing::KeyPosition(key), view.replication_factor);
+      if (chain.empty()) continue;
+      // One value per key: replicas before the last get copies, the last
+      // gets the original.
+      std::vector<uint8_t> value = gen.MakeValue(issued);
+      for (size_t r = 0; r + 1 < chain.size(); ++r) put(chain[r], key, value);
+      put(chain.back(), std::move(key), std::move(value));
     }
     // Drain this batch before issuing the next (bounds memory and queues).
     while (completed > 0 && sim_->Step()) {

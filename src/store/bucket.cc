@@ -121,13 +121,17 @@ bool VerifyBucketCrc(const std::vector<uint8_t>& data, size_t at,
                      uint32_t bucket_size) {
   if (at + bucket_size > data.size()) return false;
   if (bucket_size < BucketHeader::kEncodedSize) return false;
-  std::vector<uint8_t> view(data.begin() + static_cast<long>(at),
-                            data.begin() + static_cast<long>(at + bucket_size));
-  size_t pos = kBucketCrcPos;
+  size_t pos = at + kBucketCrcPos;
   uint32_t stored = 0;
-  if (!GetScalar(view, pos, &stored)) return false;
-  leed::FillBytes(view.data() + kBucketCrcPos, 0, sizeof(uint32_t));
-  return leed::Crc32(view.data(), view.size()) == stored;
+  if (!GetScalar(data, pos, &stored)) return false;
+  // Checksum in place: prefix, the crc slot as four zero bytes, suffix.
+  static constexpr uint8_t kZeroSlot[sizeof(uint32_t)] = {};
+  constexpr size_t kSuffixPos = kBucketCrcPos + sizeof(kZeroSlot);
+  const uint8_t* bucket = data.data() + at;
+  uint32_t crc = leed::Crc32(bucket, kBucketCrcPos);
+  crc = leed::Crc32Update(crc, kZeroSlot, sizeof(kZeroSlot));
+  crc = leed::Crc32Update(crc, bucket + kSuffixPos, bucket_size - kSuffixPos);
+  return crc == stored;
 }
 
 Result<Bucket> DecodeBucket(const std::vector<uint8_t>& data, size_t at,

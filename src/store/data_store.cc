@@ -456,7 +456,7 @@ void DataStore::PutApply(std::shared_ptr<PutOp> op, std::optional<Bucket> head) 
       ValueEntry entry;
       entry.segment_id = op->segment;
       entry.key = op->key;
-      entry.value = op->value;
+      entry.value = std::move(op->value);  // last use of the value
       item.value_offset = target.value_log->tail();
       op->value_offset = item.value_offset;
       op->value_len = item.value_len;

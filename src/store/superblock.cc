@@ -26,10 +26,6 @@ bool Get(const std::vector<uint8_t>& buf, size_t& pos, T* v) {
 
 }  // namespace
 
-uint32_t Crc32(const uint8_t* data, size_t length) {
-  return leed::Crc32(data, length);
-}
-
 std::vector<uint8_t> EncodeSuperblock(const RecoveryCheckpoint& checkpoint,
                                       uint64_t sequence) {
   // Layout: magic(4) version(2) log_count(2) sequence(8)

@@ -19,11 +19,6 @@
 
 namespace leed::store {
 
-// CRC-32 (IEEE 802.3, reflected), used to validate superblock slots.
-// Forwards to leed::Crc32 (common/crc32.h), the shared implementation
-// that bucket headers use as well.
-uint32_t Crc32(const uint8_t* data, size_t length);
-
 // Serialize / parse a checkpoint (with sequence number for A/B arbitration).
 std::vector<uint8_t> EncodeSuperblock(const RecoveryCheckpoint& checkpoint,
                                       uint64_t sequence);

@@ -1,5 +1,6 @@
 #include "workload/ycsb.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/hash.h"
@@ -43,11 +44,14 @@ std::string YcsbGenerator::KeyName(uint64_t id) {
 }
 
 std::vector<uint8_t> YcsbGenerator::MakeValue(uint64_t key_id, uint32_t version) const {
+  // One Mix64 step per 8-byte word, written little-endian; a short last
+  // word keeps its low-order bytes.
   std::vector<uint8_t> v(config_.value_size);
   uint64_t state = Mix64(key_id * 0x9e3779b97f4a7c15ULL + version + 1);
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i % 8 == 0) state = Mix64(state + i);
-    v[i] = static_cast<uint8_t>(state >> ((i % 8) * 8));
+  for (size_t i = 0; i < v.size(); i += 8) {
+    state = Mix64(state + i);
+    const size_t word = std::min<size_t>(8, v.size() - i);
+    for (size_t b = 0; b < word; ++b) v[i + b] = static_cast<uint8_t>(state >> (8 * b));
   }
   return v;
 }

@@ -1,5 +1,5 @@
-// Unit tests for the common substrate: Status/Result, hashing, RNG, Zipf,
-// histogram.
+// Unit tests for the common substrate: Status/Result, hashing, CRC-32, RNG,
+// Zipf, histogram.
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include <set>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rand.h"
@@ -114,6 +115,53 @@ TEST(HashTest, KeyHashDistributesAcrossBuckets) {
   for (int c : counts) {
     EXPECT_GT(c, expect * 0.8);
     EXPECT_LT(c, expect * 1.2);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32
+// ---------------------------------------------------------------------------
+
+// The oracle: the plain bit-at-a-time reflected CRC-32 (polynomial
+// 0xedb88320), one byte per iteration. Crc32 must agree with it bit for bit
+// so on-disk buckets and superblocks never change format.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t length) {
+  uint32_t crc = 0xffffffffu;
+  for (size_t i = 0; i < length; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+  }
+  return crc ^ 0xffffffffu;
+}
+
+TEST(Crc32Test, CheckValue) {
+  // CRC-32("123456789") = 0xCBF43926 (IEEE).
+  const char* s = "123456789";
+  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
+  EXPECT_EQ(Crc32(nullptr, 0), 0u);
+}
+
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(0xc3c3);
+  std::vector<uint8_t> buf(1100 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 1100; ++len) {
+      ASSERT_EQ(Crc32(buf.data() + offset, len), ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, UpdateExtendsAFinishedCrc) {
+  Rng rng(0x5eed);
+  std::vector<uint8_t> buf(600);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  const uint32_t whole = Crc32(buf.data(), buf.size());
+  for (size_t split : {0, 1, 7, 8, 9, 60, 64, 599, 600}) {
+    const uint32_t head = Crc32(buf.data(), split);
+    EXPECT_EQ(Crc32Update(head, buf.data() + split, buf.size() - split), whole)
+        << "split " << split;
   }
 }
 

@@ -176,6 +176,54 @@ TEST(IntegrationTest, PreloadMakesKeysVisible) {
   }
 }
 
+// Preload writes one value per key to exactly the stores of that key's
+// serving chain: each chain member reads back MakeValue(k) locally, and the
+// stores saw keys x R puts in total.
+TEST(IntegrationTest, PreloadPlacesEveryKeyOnItsChain) {
+  constexpr uint64_t kKeys = 300;
+  obs::Registry registry;
+  ClusterConfig cfg = SmallLeedCluster();
+  cfg.node.metrics_registry = &registry;
+  ClusterSim cluster(cfg);
+  cluster.Bootstrap();
+  cluster.Preload(kKeys, 128);
+
+  workload::YcsbConfig wc;
+  wc.num_keys = kKeys;
+  wc.value_size = 128;
+  workload::YcsbGenerator gen(wc);
+  const auto& view = cluster.control_plane().view();
+  const uint32_t r = view.replication_factor;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    const std::string key = workload::YcsbGenerator::KeyName(i);
+    auto chain = view.ChainForKey(key);
+    ASSERT_EQ(chain.size(), r) << key;
+    for (auto vid : chain) {
+      const auto* info = view.Find(vid);
+      ASSERT_NE(info, nullptr);
+      auto& ds = cluster.node(info->owner_node).leed_engine()->data_store(info->local_store);
+      bool done = false;
+      Status st = Status::Internal("pending");
+      std::vector<uint8_t> out;
+      ds.Get(key, [&](Status s, std::vector<uint8_t> v) {
+        st = std::move(s);
+        out = std::move(v);
+        done = true;
+      });
+      testutil::RunUntilFlag(cluster.simulator(), done);
+      ASSERT_TRUE(st.ok()) << key << " on vnode " << vid;
+      EXPECT_EQ(out, gen.MakeValue(i)) << key << " on vnode " << vid;
+    }
+  }
+
+  uint64_t puts = 0;
+  for (uint32_t n = 0; n < cluster.num_nodes(); ++n) {
+    engine::IoEngine* eng = cluster.node(n).leed_engine();
+    for (uint32_t s = 0; s < eng->num_stores(); ++s) puts += eng->data_store(s).stats().puts;
+  }
+  EXPECT_EQ(puts, kKeys * r);
+}
+
 TEST(IntegrationTest, CrrsShipsDirtyReads) {
   ClusterSim cluster(SmallLeedCluster(3, /*crrs=*/true));
   cluster.Bootstrap();

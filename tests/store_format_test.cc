@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "store/format.h"
 #include "store/segment_table.h"
 
@@ -107,6 +109,35 @@ TEST(BucketFormatTest, DecodeAtOffsetWithinArray) {
   ASSERT_TRUE(d2.ok());
   EXPECT_EQ(d2.value().header.segment_id, 2u);
   EXPECT_EQ(d2.value().items[0].key, "two");
+}
+
+// The stored CRC covers the whole bucket with its own four-byte slot read as
+// zero; VerifyBucketCrc checks that in place, at any offset, and rejects a
+// flipped bit before, inside or after the slot.
+TEST(BucketFormatTest, CrcCoversBucketWithZeroedSlot) {
+  Bucket b;
+  b.header.segment_id = 9;
+  b.items.push_back(MakeItem("crc-key", 64, 4096));
+  auto enc = EncodeBucket(b, 512);
+  ASSERT_TRUE(enc.ok());
+  std::vector<uint8_t> blob(1024, 0xab);
+  std::copy(enc.value().begin(), enc.value().end(), blob.begin() + 512);
+
+  constexpr size_t kSlot = BucketHeader::kEncodedSize - sizeof(uint32_t);
+  std::vector<uint8_t> zeroed = enc.value();
+  uint32_t stored = 0;
+  for (size_t i = 0; i < sizeof(uint32_t); ++i) {
+    stored |= static_cast<uint32_t>(zeroed[kSlot + i]) << (8 * i);
+    zeroed[kSlot + i] = 0;
+  }
+  EXPECT_EQ(stored, Crc32(zeroed.data(), zeroed.size()));
+
+  EXPECT_TRUE(VerifyBucketCrc(blob, 512, 512));
+  for (size_t at : {size_t{0}, kSlot, kSlot + 3, size_t{511}}) {
+    std::vector<uint8_t> bad = blob;
+    bad[512 + at] ^= 0x10;
+    EXPECT_FALSE(VerifyBucketCrc(bad, 512, 512)) << "flipped byte " << at;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -61,12 +61,6 @@ TEST(SuperblockCodecTest, BadMagicRejected) {
   EXPECT_FALSE(DecodeSuperblock(zeros).ok());
 }
 
-TEST(SuperblockCodecTest, Crc32KnownVector) {
-  // CRC-32("123456789") = 0xCBF43926 (IEEE).
-  const char* s = "123456789";
-  EXPECT_EQ(Crc32(reinterpret_cast<const uint8_t*>(s), 9), 0xCBF43926u);
-}
-
 class SuperblockIoTest : public ::testing::Test {
  protected:
   SuperblockIoTest() : device_(sim_, 1 << 20, 512) {}

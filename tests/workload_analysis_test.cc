@@ -5,9 +5,11 @@
 
 #include <cmath>
 #include <map>
+#include <string_view>
 
 #include "analysis/balls_into_bins.h"
 #include "analysis/index_memory.h"
+#include "common/hash.h"
 #include "common/units.h"
 #include "sim/platform.h"
 #include "workload/ycsb.h"
@@ -118,6 +120,95 @@ TEST(YcsbTest, KeyNamesAndValuesDeterministic) {
   EXPECT_EQ(v1.size(), 256u);
   EXPECT_EQ(v1, v2);
   EXPECT_NE(v1, v3);
+}
+
+// Golden digests pin MakeValue's exact bytes: every integration test compares
+// MakeValue with itself, so only these catch a generator that drifts (tail
+// bytes of sizes that are not a multiple of 8 included). Each row is
+// {value_size, version, key_id, Fnv1a64(bytes)}.
+TEST(YcsbTest, MakeValueMatchesGoldenDigests) {
+  struct Golden {
+    uint32_t size;
+    uint32_t version;
+    uint64_t key_id;
+    uint64_t digest;
+  };
+  const Golden kGolden[] = {
+      {1, 0, 0, 0xaf645f4c8602cb25ULL},
+      {1, 0, 42, 0xaf64224c8602637eULL},
+      {1, 0, 19999, 0xaf645e4c8602c972ULL},
+      {1, 1, 0, 0xaf64254c86026897ULL},
+      {1, 1, 42, 0xaf64524c8602b50eULL},
+      {1, 1, 19999, 0xaf63e84c860200f0ULL},
+      {1, 7, 0, 0xaf63f64c860218baULL},
+      {1, 7, 42, 0xaf646b4c8602df89ULL},
+      {1, 7, 19999, 0xaf64044c86023084ULL},
+      {7, 0, 0, 0xbb72f4bf84c9428dULL},
+      {7, 0, 42, 0x521c61ef50f742ffULL},
+      {7, 0, 19999, 0xa0fa3316ff1fe508ULL},
+      {7, 1, 0, 0xdf6c3a0b7f53d0a4ULL},
+      {7, 1, 42, 0xe4442a734cb977a3ULL},
+      {7, 1, 19999, 0x5cdca79e2ff8fc6fULL},
+      {7, 7, 0, 0x6f7b8ef7bbb137aaULL},
+      {7, 7, 42, 0x8658eed9013916c7ULL},
+      {7, 7, 19999, 0x0ae212323abf95ddULL},
+      {8, 0, 0, 0x4d98d16ea1fcbdd0ULL},
+      {8, 0, 42, 0x7d7cd4a69425dbd1ULL},
+      {8, 0, 19999, 0xa909e813833247c8ULL},
+      {8, 1, 0, 0xf8b72c895b6b5c31ULL},
+      {8, 1, 42, 0x994ba4eb5f261399ULL},
+      {8, 1, 19999, 0xc3ed14cb8414a5d9ULL},
+      {8, 7, 0, 0x202bb0f3ee21bea6ULL},
+      {8, 7, 42, 0x82340cbd1400b6f6ULL},
+      {8, 7, 19999, 0x3dba7559d38b197eULL},
+      {9, 0, 0, 0xd76986fd40764478ULL},
+      {9, 0, 42, 0x60f8e40dbc541097ULL},
+      {9, 0, 19999, 0x6e1ccd27ee6f6a1cULL},
+      {9, 1, 0, 0x0a9d0966576df054ULL},
+      {9, 1, 42, 0xa19c5af2adb27dadULL},
+      {9, 1, 19999, 0x007f93d16f14c85aULL},
+      {9, 7, 0, 0xcbfc1b7da3569337ULL},
+      {9, 7, 42, 0x3f288448fd36bcedULL},
+      {9, 7, 19999, 0x6eef2aa2755cc659ULL},
+      {128, 0, 0, 0x8fbbc932fc69c1cbULL},
+      {128, 0, 42, 0xea943a5d9dd9ae52ULL},
+      {128, 0, 19999, 0x9bc27c4d88a651c6ULL},
+      {128, 1, 0, 0x66fc4a11c2c28ac7ULL},
+      {128, 1, 42, 0x6b68475ce7a98078ULL},
+      {128, 1, 19999, 0xf4fa17a8c30782a8ULL},
+      {128, 7, 0, 0x2aa65aa4d929b9b0ULL},
+      {128, 7, 42, 0x110d855ad94bad99ULL},
+      {128, 7, 19999, 0xaa577333f08c5030ULL},
+      {1023, 0, 0, 0xe64dbda6bab0d3f1ULL},
+      {1023, 0, 42, 0xc8fa7ef1f9adc45aULL},
+      {1023, 0, 19999, 0x3bf2ca4c7a8f24d8ULL},
+      {1023, 1, 0, 0x2f724883bb0c6b8cULL},
+      {1023, 1, 42, 0x5c8c35fc64cd10e9ULL},
+      {1023, 1, 19999, 0x6abc3b2f314f7d98ULL},
+      {1023, 7, 0, 0x4831ca8fd6b93ae5ULL},
+      {1023, 7, 42, 0x13bb628ed9758c18ULL},
+      {1023, 7, 19999, 0x4b813054c7c3d510ULL},
+      {1024, 0, 0, 0x06ecb24f3a774750ULL},
+      {1024, 0, 42, 0x2f6a012b42448d24ULL},
+      {1024, 0, 19999, 0x6cb243f4413b0c4cULL},
+      {1024, 1, 0, 0xab9c93d6d61a6d54ULL},
+      {1024, 1, 42, 0x0f5032df4872fa35ULL},
+      {1024, 1, 19999, 0xad55b030ca119badULL},
+      {1024, 7, 0, 0x65d62f69dcbf3be7ULL},
+      {1024, 7, 42, 0xfcf480bb82bcf198ULL},
+      {1024, 7, 19999, 0x105ac60f71c40912ULL}
+  };
+  for (const Golden& g : kGolden) {
+    YcsbConfig cfg;
+    cfg.num_keys = 16;  // MakeValue ignores it; keeps the Zipf set-up cheap
+    cfg.value_size = g.size;
+    YcsbGenerator gen(cfg);
+    auto v = gen.MakeValue(g.key_id, g.version);
+    ASSERT_EQ(v.size(), g.size);
+    EXPECT_EQ(Fnv1a64(std::string_view(reinterpret_cast<const char*>(v.data()), v.size())),
+              g.digest)
+        << "size " << g.size << " version " << g.version << " key " << g.key_id;
+  }
 }
 
 TEST(YcsbTest, MixNames) {
