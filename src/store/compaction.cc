@@ -1,6 +1,7 @@
 #include "store/compaction.h"
 
 #include <algorithm>
+#include <map>
 #include <set>
 
 namespace leed::store {
@@ -26,11 +27,11 @@ bool Compactor::MaybeStart() {
   const auto& home = s_.home();
   const double th = s_.config().compaction_threshold;
   bool swap_pressure = s_.swapped_segments() > 64;
-  if (!key_running_ && (home.key_log->CompactionNeeded(th) || swap_pressure)) {
+  if (!key_.running && (home.key_log->CompactionNeeded(th) || swap_pressure)) {
     StartKey([](Status) {});
     started = true;
   }
-  if (!value_running_ && home.value_log->CompactionNeeded(th)) {
+  if (!value_.running && home.value_log->CompactionNeeded(th)) {
     StartValue([](Status) {});
     started = true;
   }
@@ -38,54 +39,222 @@ bool Compactor::MaybeStart() {
 }
 
 // ---------------------------------------------------------------------------
-// Chain merge
+// The run lifecycle, shared by both logs
 // ---------------------------------------------------------------------------
 
-std::vector<KeyItem> Compactor::MergeChain(const std::vector<Bucket>& chain) {
-  std::vector<KeyItem> merged;
-  std::set<std::string> seen;
-  for (const auto& b : chain) {  // newest-first
-    for (const auto& it : b.items) {
-      if (!seen.insert(it.key).second) continue;  // shadowed by newer version
-      if (it.IsTombstone()) continue;             // delete marker: drop
-      merged.push_back(it);
-    }
+struct Compactor::Run {
+  Run(Lane& l, DataStore::OpCallback d) : lane(l), done(std::move(d)) {}
+  Lane& lane;
+  DataStore::OpCallback done;
+  uint64_t start = 0;  // log head when the run began
+  uint64_t end = 0;    // where the head advances if every segment is rewritten
+  // Value runs: the region's entries (logical offset, entry) by segment.
+  std::map<uint32_t, std::vector<std::pair<uint64_t, ValueEntry>>> values;
+  std::vector<std::vector<uint32_t>> groups;
+  size_t groups_pending = 0;
+  bool all_relocated = true;
+};
+
+log::CircularLog& Compactor::LogOf(const Lane& lane) const {
+  return lane.key_log ? *s_.home().key_log : *s_.home().value_log;
+}
+
+uint64_t Compactor::Span(const Lane& lane) const {
+  const auto& cfg = s_.config();
+  const uint64_t used = LogOf(lane).used();
+  if (!lane.key_log) return std::min(cfg.compaction_chunk + kValueSpanSlack, used);
+  const uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
+  return chunk - chunk % cfg.bucket_size;
+}
+
+void Compactor::Start(Lane& lane, DataStore::OpCallback done) {
+  if (lane.running) {
+    done(Status::Busy(lane.key_log ? "key compaction already running"
+                                   : "value compaction already running"));
+    return;
   }
-  return merged;
+  const uint64_t span = Span(lane);
+  // A key run with an empty span still merges swapped segments back home.
+  if (span == 0 && !(lane.key_log && s_.swapped_segments() > 0)) {
+    done(Status::Ok());
+    return;
+  }
+  auto& gate = s_.config().compaction_gate;
+  if (gate && !gate->TryAcquire()) {
+    // Co-scheduling cap reached; a later MaybeStart retries.
+    done(Status::Busy("compaction gate full"));
+    return;
+  }
+  lane.running = true;
+  (lane.key_log ? s_.m_.key_compactions : s_.m_.value_compactions)->Inc();
+  auto run = std::make_shared<Run>(lane, std::move(done));
+  run->start = LogOf(lane).head();
+  run->end = run->start + span;
+
+  if (span == 0) {
+    WithRegion(run, {});
+    return;
+  }
+  if (lane.prefetch.valid && lane.prefetch.offset == run->start &&
+      lane.prefetch.data.size() >= span) {
+    s_.m_.prefetch_hits->Inc();
+    auto data = std::move(lane.prefetch.data);
+    data.resize(span);
+    lane.prefetch = Lane::Prefetch{};
+    // Verification pass over prefetched segments still costs cycles.
+    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
+                  [this, run, d = std::move(data)]() mutable {
+                    WithRegion(run, std::move(d));
+                  });
+    return;
+  }
+  s_.m_.prefetch_misses->Inc();
+  s_.m_.ssd_reads->Inc();
+  LogOf(lane).Read(run->start, span, [this, run](log::ReadResult r) {
+    if (!r.status.ok()) {
+      Finish(*run, r.status);
+      return;
+    }
+    WithRegion(run, std::move(r.data));
+  });
+}
+
+void Compactor::WithRegion(std::shared_ptr<Run> run, std::vector<uint8_t> region) {
+  std::vector<uint32_t> segs =
+      run->lane.key_log ? KeySegments(region) : ValueSegments(*run, region);
+  if (segs.empty()) {
+    // A value region that parsed to no entry has nothing to advance over:
+    // the run ends without prefetching or starting another. (A key region
+    // of undecodable buckets is still advanced over.)
+    if (run->end == run->start) {
+      Finish(*run, Status::Ok());
+      return;
+    }
+    run->groups_pending = 1;
+    Join(run);
+    return;
+  }
+  run->groups = Partition(segs, s_.config().subcompactions);
+  run->groups_pending = run->groups.size();
+  for (size_t g = 0; g < run->groups.size(); ++g) {
+    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
+                  [this, run, g] { RunGroup(run, g); });
+  }
+}
+
+void Compactor::RunGroup(std::shared_ptr<Run> run, size_t group) {
+  auto& ids = run->groups[group];
+  if (ids.empty()) {
+    Join(run);
+    return;
+  }
+  uint32_t seg = ids.back();
+  ids.pop_back();
+  auto next = [this, run, group](bool ok) {
+    if (!ok) run->all_relocated = false;
+    RunGroup(run, group);
+  };
+  if (run->lane.key_log) {
+    CollapseSegment(seg, s_.swapped_segments_.contains(seg), std::move(next));
+  } else {
+    RewriteLiveValues(run, seg, std::move(next));
+  }
+}
+
+void Compactor::Join(std::shared_ptr<Run> run) {
+  if (--run->groups_pending > 0) return;
+  if (run->end > run->start && run->all_relocated) {
+    Status st = LogOf(run->lane).AdvanceHead(run->end);
+    (void)st;
+  }
+  IssuePrefetch(run->lane);
+  Finish(*run, Status::Ok());
+  // Keep draining if still above threshold.
+  MaybeStart();
+}
+
+void Compactor::Finish(Run& run, Status status) {
+  run.lane.running = false;
+  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
+  run.done(std::move(status));
+}
+
+void Compactor::IssuePrefetch(Lane& lane) {
+  const uint64_t span = Span(lane);
+  if (span == 0) return;
+  const uint64_t start = LogOf(lane).head();
+  s_.m_.ssd_reads->Inc();
+  LogOf(lane).Read(start, span, [&lane, start](log::ReadResult r) {
+    if (!r.status.ok()) return;
+    lane.prefetch.valid = true;
+    lane.prefetch.offset = start;
+    lane.prefetch.data = std::move(r.data);
+  });
 }
 
 // ---------------------------------------------------------------------------
-// Segment collapse (shared by both runs and swap merge-back).
-// done(ok): ok==false means the segment could NOT be relocated (no space /
-// IO error) and still has live data at its old location — the caller must
-// not advance the log head over it.
+// Region -> segments
+// ---------------------------------------------------------------------------
+
+std::vector<uint32_t> Compactor::KeySegments(const std::vector<uint8_t>& region) const {
+  const uint32_t bucket_size = s_.config().bucket_size;
+  std::vector<uint32_t> segs;
+  std::set<uint32_t> uniq;
+  for (size_t at = 0; at + bucket_size <= region.size(); at += bucket_size) {
+    auto b = DecodeBucket(region, at, bucket_size);
+    if (!b.ok()) continue;
+    uint32_t seg = b.value().header.segment_id;
+    if (uniq.insert(seg).second) segs.push_back(seg);
+  }
+  // Swap merge-back: pull up to kSwapMergePerRun parked segments home too.
+  size_t merged_in = 0;
+  for (uint32_t seg : s_.swapped_segments_) {
+    if (merged_in >= kSwapMergePerRun) break;
+    if (uniq.insert(seg).second) {
+      segs.push_back(seg);
+      ++merged_in;
+    }
+  }
+  return segs;
+}
+
+std::vector<uint32_t> Compactor::ValueSegments(Run& run,
+                                               const std::vector<uint8_t>& region) {
+  const uint64_t chunk_end = run.start + s_.config().compaction_chunk;
+  uint64_t pos = 0;
+  uint64_t logical = run.start;
+  while (pos + ValueEntry::kHeaderBytes <= region.size() && logical < chunk_end) {
+    auto entry = DecodeValueEntry(region, pos);
+    if (!entry.ok()) break;  // truncated tail entry: stop before it
+    uint64_t sz = entry.value().EncodedSize();
+    run.values[entry.value().segment_id].emplace_back(logical,
+                                                      std::move(entry).value());
+    pos += sz;
+    logical += sz;
+  }
+  run.end = logical;
+  std::vector<uint32_t> segs;
+  segs.reserve(run.values.size());
+  for (const auto& entry : run.values) segs.push_back(entry.first);
+  return segs;
+}
+
+// ---------------------------------------------------------------------------
+// Per-segment actions
 // ---------------------------------------------------------------------------
 
 void Compactor::CollapseSegment(uint32_t segment_id, bool relocate_values,
                                 std::function<void(bool)> done) {
-  SegmentTable& tbl = s_.segments();
-  if (tbl.At(segment_id).Empty()) {
+  if (s_.segments().At(segment_id).Empty()) {
     done(true);
     return;
   }
-  if (!tbl.TryLock(segment_id)) {
-    tbl.WaitOnLock(segment_id, [this, segment_id, relocate_values,
-                                d = std::move(done)]() mutable {
-      CollapseSegment(segment_id, relocate_values, std::move(d));
-    });
+  if (!s_.TryLockOrWait(segment_id, [this, segment_id, relocate_values, done] {
+        CollapseSegment(segment_id, relocate_values, done);
+      })) {
     return;
   }
-  CollapseLocked(segment_id, relocate_values, std::move(done));
-}
-
-void Compactor::CollapseLocked(uint32_t segment_id, bool relocate_values,
-                               std::function<void(bool)> done) {
   const SegmentEntry& e = s_.segments().At(segment_id);
-  if (e.Empty()) {
-    s_.UnlockAndPump(segment_id);
-    done(true);
-    return;
-  }
   s_.ReadChain(segment_id, e.ssd, e.offset, e.chain_len,
                [this, segment_id, relocate_values, d = std::move(done)](
                    Status st, std::vector<Bucket> chain) mutable {
@@ -111,6 +280,95 @@ void Compactor::CollapseLocked(uint32_t segment_id, bool relocate_values,
             WriteMergedSegment(segment_id, merged, std::move(d));
           }
         });
+  });
+}
+
+void Compactor::RewriteLiveValues(std::shared_ptr<Run> run, uint32_t segment_id,
+                                  std::function<void(bool)> done) {
+  if (!s_.TryLockOrWait(segment_id, [this, run, segment_id, done] {
+        RewriteLiveValues(run, segment_id, done);
+      })) {
+    return;
+  }
+  const SegmentEntry& e = s_.segments().At(segment_id);
+  if (e.Empty()) {
+    // All this segment's region values are dead (segment was emptied).
+    s_.UnlockAndPump(segment_id);
+    done(true);
+    return;
+  }
+  s_.ReadChain(segment_id, e.ssd, e.offset, e.chain_len,
+               [this, run, segment_id, d = std::move(done)](
+                   Status st, std::vector<Bucket> chain) mutable {
+    if (!st.ok()) {
+      s_.UnlockAndPump(segment_id);
+      d(false);
+      return;
+    }
+    auto merged = std::make_shared<std::vector<KeyItem>>(MergeChain(chain));
+    const auto& region_entries = run->values[segment_id];
+    const uint8_t home_ssd = s_.home().ssd_id;
+
+    // Liveness: a region value survives iff a merged item still points at
+    // it (same key, same offset, on the home SSD). Collect (item index,
+    // offset relative to the batch) for each survivor.
+    std::vector<uint8_t> batch;
+    std::vector<std::pair<size_t, uint64_t>> rewrites;
+    for (const auto& [offset, entry] : region_entries) {
+      for (size_t i = 0; i < merged->size(); ++i) {
+        const KeyItem& item = (*merged)[i];
+        if (item.key == entry.key && item.value_ssd == home_ssd &&
+            item.value_offset == offset) {
+          auto encoded = EncodeValueEntry(entry);
+          rewrites.emplace_back(i, batch.size());
+          batch.insert(batch.end(), encoded.begin(), encoded.end());
+          break;
+        }
+      }
+    }
+    uint64_t cycles = s_.config().costs.compaction_per_item *
+                      std::max<uint64_t>(1, region_entries.size() + merged->size());
+    s_.core().Run(s_.Cycles(cycles), [this, segment_id, merged,
+                                      batch = std::move(batch),
+                                      rewrites = std::move(rewrites),
+                                      d = std::move(d)]() mutable {
+      const LogSet& home = s_.home();
+      if (batch.empty()) {
+        // Every region value of this segment is dead: nothing to move and
+        // no need to touch the segment.
+        s_.UnlockAndPump(segment_id);
+        d(true);
+        return;
+      }
+      if (batch.size() > home.value_log->free_space()) {
+        s_.UnlockAndPump(segment_id);
+        d(false);
+        return;
+      }
+      // Reserve offsets and append in the same event (no interleaving).
+      const uint64_t base = home.value_log->tail();
+      for (const auto& [index, relative] : rewrites) {
+        KeyItem& item = (*merged)[index];
+        const RangeIndex::ValueLoc old_loc{item.value_ssd, item.value_offset,
+                                           item.value_len};
+        item.value_offset = base + relative;
+        // Keep the ordered view pointing at live bytes across the rewrite
+        // (no-op if a newer PUT already owns the index entry).
+        s_.RepairIndexLocation(item.key, old_loc,
+                               {item.value_ssd, item.value_offset, item.value_len});
+      }
+      s_.m_.ssd_writes->Inc();
+      home.value_log->Append(std::move(batch), [this, segment_id, merged,
+                                                d = std::move(d)](
+                                                   log::AppendResult r) mutable {
+        if (!r.status.ok()) {
+          s_.UnlockAndPump(segment_id);
+          d(false);
+          return;
+        }
+        WriteMergedSegment(segment_id, merged, std::move(d));
+      });
+    });
   });
 }
 
@@ -255,406 +513,6 @@ void Compactor::WriteMergedSegment(uint32_t segment_id,
     }
     s_.UnlockAndPump(segment_id);
     d(ok);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Key-log run
-// ---------------------------------------------------------------------------
-
-struct Compactor::KeyRun {
-  DataStore::OpCallback done;
-  uint64_t region_start = 0;
-  uint64_t region_len = 0;
-  std::vector<std::vector<uint32_t>> groups;
-  size_t groups_pending = 0;
-  bool all_relocated = true;
-};
-
-void Compactor::StartKey(DataStore::OpCallback done) {
-  if (key_running_) {
-    done(Status::Busy("key compaction already running"));
-    return;
-  }
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  auto run = std::make_shared<KeyRun>();
-  run->done = std::move(done);
-  run->region_start = home.key_log->head();
-  uint64_t used = home.key_log->used();
-  uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
-  chunk -= chunk % cfg.bucket_size;
-  run->region_len = chunk;
-  if (chunk == 0 && s_.swapped_segments() == 0) {
-    run->done(Status::Ok());
-    return;
-  }
-  auto& gate = s_.config().compaction_gate;
-  if (gate && !gate->TryAcquire()) {
-    // Co-scheduling cap reached; a later MaybeStart retries.
-    run->done(Status::Busy("compaction gate full"));
-    return;
-  }
-  key_running_ = true;
-  s_.m_.key_compactions->Inc();
-
-  if (chunk == 0) {
-    KeyRunWithRegion(run, {});
-    return;
-  }
-  if (key_prefetch_.valid && key_prefetch_.offset == run->region_start &&
-      key_prefetch_.data.size() >= chunk) {
-    s_.m_.prefetch_hits->Inc();
-    auto data = std::move(key_prefetch_.data);
-    data.resize(chunk);
-    key_prefetch_ = Prefetch{};
-    // Verification pass over prefetched segments still costs cycles.
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
-                  [this, run, d = std::move(data)]() mutable {
-                    KeyRunWithRegion(run, std::move(d));
-                  });
-    return;
-  }
-  s_.m_.prefetch_misses->Inc();
-  s_.m_.ssd_reads->Inc();
-  home.key_log->Read(run->region_start, chunk, [this, run](log::ReadResult r) {
-    if (!r.status.ok()) {
-      key_running_ = false;
-      if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-      run->done(r.status);
-      return;
-    }
-    KeyRunWithRegion(run, std::move(r.data));
-  });
-}
-
-void Compactor::KeyRunWithRegion(std::shared_ptr<KeyRun> run,
-                                 std::vector<uint8_t> region) {
-  const uint32_t bucket_size = s_.config().bucket_size;
-  std::vector<uint32_t> segs;
-  std::set<uint32_t> uniq;
-  for (size_t at = 0; at + bucket_size <= region.size(); at += bucket_size) {
-    auto b = DecodeBucket(region, at, bucket_size);
-    if (!b.ok()) continue;
-    uint32_t seg = b.value().header.segment_id;
-    if (uniq.insert(seg).second) segs.push_back(seg);
-  }
-  // Swap merge-back: pull up to kSwapMergePerRun parked segments home too.
-  size_t merged_in = 0;
-  for (uint32_t seg : s_.swapped_segments_) {
-    if (merged_in >= kSwapMergePerRun) break;
-    if (uniq.insert(seg).second) {
-      segs.push_back(seg);
-      ++merged_in;
-    }
-  }
-
-  if (segs.empty()) {
-    run->groups_pending = 1;
-    KeyRunJoin(run);
-    return;
-  }
-  run->groups = Partition(segs, s_.config().subcompactions);
-  run->groups_pending = run->groups.size();
-  for (size_t g = 0; g < run->groups.size(); ++g) {
-    s_.core().Run(s_.Cycles(s_.config().costs.compaction_setup),
-                  [this, run, g] { KeyRunGroup(run, g); });
-  }
-}
-
-void Compactor::KeyRunGroup(std::shared_ptr<KeyRun> run, size_t group) {
-  auto& ids = run->groups[group];
-  if (ids.empty()) {
-    KeyRunJoin(run);
-    return;
-  }
-  uint32_t seg = ids.back();
-  ids.pop_back();
-  bool relocate = s_.swapped_segments_.contains(seg);
-  CollapseSegment(seg, relocate, [this, run, group](bool ok) {
-    if (!ok) run->all_relocated = false;
-    KeyRunGroup(run, group);
-  });
-}
-
-void Compactor::KeyRunJoin(std::shared_ptr<KeyRun> run) {
-  if (--run->groups_pending > 0) return;
-  const LogSet& home = s_.home();
-  if (run->region_len > 0 && run->all_relocated) {
-    Status st = home.key_log->AdvanceHead(run->region_start + run->region_len);
-    (void)st;
-  }
-  if (s_.config().prefetch) IssueKeyPrefetch();
-  key_running_ = false;
-  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-  run->done(Status::Ok());
-  // Keep draining if still above threshold.
-  MaybeStart();
-}
-
-void Compactor::IssueKeyPrefetch() {
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  uint64_t used = home.key_log->used();
-  uint64_t chunk = std::min<uint64_t>(cfg.compaction_chunk, used);
-  chunk -= chunk % cfg.bucket_size;
-  if (chunk == 0) return;
-  uint64_t start = home.key_log->head();
-  s_.m_.ssd_reads->Inc();
-  home.key_log->Read(start, chunk, [this, start](log::ReadResult r) {
-    if (!r.status.ok()) return;
-    key_prefetch_.valid = true;
-    key_prefetch_.offset = start;
-    key_prefetch_.data = std::move(r.data);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Value-log run
-// ---------------------------------------------------------------------------
-
-struct Compactor::ValueRun {
-  DataStore::OpCallback done;
-  uint64_t region_start = 0;
-  uint64_t region_end = 0;
-  struct RegionEntry {
-    uint64_t offset;
-    ValueEntry entry;
-  };
-  std::map<uint32_t, std::vector<RegionEntry>> by_segment;
-  std::vector<std::vector<uint32_t>> groups;
-  size_t groups_pending = 0;
-  bool all_relocated = true;
-};
-
-void Compactor::StartValue(DataStore::OpCallback done) {
-  if (value_running_) {
-    done(Status::Busy("value compaction already running"));
-    return;
-  }
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  auto run = std::make_shared<ValueRun>();
-  run->done = std::move(done);
-  run->region_start = home.value_log->head();
-  uint64_t used = home.value_log->used();
-  if (used == 0) {
-    run->done(Status::Ok());
-    return;
-  }
-  auto& gate = s_.config().compaction_gate;
-  if (gate && !gate->TryAcquire()) {
-    run->done(Status::Busy("compaction gate full"));
-    return;
-  }
-  value_running_ = true;
-  s_.m_.value_compactions->Inc();
-
-  // Read the chunk plus slack so the last entry straddling the chunk
-  // boundary parses completely.
-  uint64_t want = std::min<uint64_t>(cfg.compaction_chunk + 64 * 1024, used);
-  if (value_prefetch_.valid && value_prefetch_.offset == run->region_start &&
-      value_prefetch_.data.size() >= want) {
-    s_.m_.prefetch_hits->Inc();
-    auto data = std::move(value_prefetch_.data);
-    value_prefetch_ = Prefetch{};
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
-                  [this, run, d = std::move(data)]() mutable {
-                    ValueRunWithRegion(run, std::move(d));
-                  });
-    return;
-  }
-  s_.m_.prefetch_misses->Inc();
-  s_.m_.ssd_reads->Inc();
-  home.value_log->Read(run->region_start, want, [this, run](log::ReadResult r) {
-    if (!r.status.ok()) {
-      value_running_ = false;
-      if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-      run->done(r.status);
-      return;
-    }
-    ValueRunWithRegion(run, std::move(r.data));
-  });
-}
-
-void Compactor::ValueRunWithRegion(std::shared_ptr<ValueRun> run,
-                                   std::vector<uint8_t> region) {
-  const auto& cfg = s_.config();
-  const uint64_t chunk_end_target = run->region_start + cfg.compaction_chunk;
-  uint64_t pos = 0;
-  uint64_t logical = run->region_start;
-  while (pos + ValueEntry::kHeaderBytes <= region.size() &&
-         logical < chunk_end_target) {
-    auto entry = DecodeValueEntry(region, pos);
-    if (!entry.ok()) break;  // truncated tail entry: stop before it
-    uint64_t sz = entry.value().EncodedSize();
-    run->by_segment[entry.value().segment_id].push_back(
-        ValueRun::RegionEntry{logical, std::move(entry).value()});
-    pos += sz;
-    logical += sz;
-  }
-  run->region_end = logical;
-  if (run->by_segment.empty()) {
-    value_running_ = false;
-    if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-    run->done(Status::Ok());
-    return;
-  }
-  std::vector<uint32_t> segs;
-  segs.reserve(run->by_segment.size());
-  for (const auto& [seg, entries] : run->by_segment) {
-    (void)entries;
-    segs.push_back(seg);
-  }
-  run->groups = Partition(segs, cfg.subcompactions);
-  run->groups_pending = run->groups.size();
-  for (size_t g = 0; g < run->groups.size(); ++g) {
-    s_.core().Run(s_.Cycles(cfg.costs.compaction_setup),
-                  [this, run, g] { ValueRunGroup(run, g); });
-  }
-}
-
-void Compactor::ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group) {
-  auto& ids = run->groups[group];
-  if (ids.empty()) {
-    ValueRunJoin(run);
-    return;
-  }
-  uint32_t seg = ids.back();
-  ids.pop_back();
-
-  auto locked = [this, run, group, seg]() {
-    const SegmentEntry& e = s_.segments().At(seg);
-    if (e.Empty()) {
-      // All this segment's region values are dead (segment was emptied).
-      s_.UnlockAndPump(seg);
-      ValueRunGroup(run, group);
-      return;
-    }
-    s_.ReadChain(seg, e.ssd, e.offset, e.chain_len,
-                 [this, run, group, seg](Status st, std::vector<Bucket> chain) {
-      if (!st.ok()) {
-        run->all_relocated = false;
-        s_.UnlockAndPump(seg);
-        ValueRunGroup(run, group);
-        return;
-      }
-      auto merged = std::make_shared<std::vector<KeyItem>>(MergeChain(chain));
-      const auto& region_entries = run->by_segment[seg];
-      const uint8_t home_ssd = s_.home().ssd_id;
-
-      // Liveness: a region value survives iff a merged item still points at
-      // it (same key, same offset, on the home SSD). Collect (item index,
-      // encoded bytes, relative offset in the batch).
-      struct Rewrite {
-        size_t item_index;
-        uint64_t relative;
-      };
-      auto batch = std::make_shared<std::vector<uint8_t>>();
-      auto rewrites = std::make_shared<std::vector<Rewrite>>();
-      for (const auto& re : region_entries) {
-        for (size_t i = 0; i < merged->size(); ++i) {
-          const KeyItem& item = (*merged)[i];
-          if (item.key == re.entry.key && item.value_ssd == home_ssd &&
-              item.value_offset == re.offset) {
-            auto encoded = EncodeValueEntry(re.entry);
-            rewrites->push_back(Rewrite{i, batch->size()});
-            batch->insert(batch->end(), encoded.begin(), encoded.end());
-            break;
-          }
-        }
-      }
-      uint64_t cycles = s_.config().costs.compaction_per_item *
-                        std::max<uint64_t>(1, region_entries.size() + merged->size());
-      s_.core().Run(s_.Cycles(cycles), [this, run, group, seg, merged, batch,
-                                        rewrites]() mutable {
-        const LogSet& home = s_.home();
-        if (batch->empty()) {
-          // Every region value of this segment is dead: nothing to move and
-          // no need to touch the segment.
-          s_.UnlockAndPump(seg);
-          ValueRunGroup(run, group);
-          return;
-        }
-        if (batch->size() > home.value_log->free_space()) {
-          run->all_relocated = false;
-          s_.UnlockAndPump(seg);
-          ValueRunGroup(run, group);
-          return;
-        }
-        // Reserve offsets and append in the same event (no interleaving).
-        const uint64_t base = home.value_log->tail();
-        for (const auto& rw : *rewrites) {
-          KeyItem& item = (*merged)[rw.item_index];
-          const RangeIndex::ValueLoc old_loc{item.value_ssd, item.value_offset,
-                                             item.value_len};
-          item.value_offset = base + rw.relative;
-          // Keep the ordered view pointing at live bytes across the rewrite
-          // (no-op if a newer PUT already owns the index entry).
-          s_.RepairIndexLocation(item.key, old_loc,
-                                 {item.value_ssd, item.value_offset,
-                                  item.value_len});
-        }
-        s_.m_.ssd_writes->Inc();
-        home.value_log->Append(std::move(*batch),
-                               [this, run, group, seg, merged](log::AppendResult r) {
-          if (!r.status.ok()) {
-            run->all_relocated = false;
-            s_.UnlockAndPump(seg);
-            ValueRunGroup(run, group);
-            return;
-          }
-          WriteMergedSegment(seg, merged, [this, run, group](bool ok) {
-            if (!ok) run->all_relocated = false;
-            ValueRunGroup(run, group);
-          });
-        });
-      });
-    });
-  };
-
-  if (s_.segments().TryLock(seg)) {
-    locked();
-  } else {
-    s_.segments().WaitOnLock(seg, [this, run, group, seg, locked] {
-      if (s_.segments().TryLock(seg)) {
-        locked();
-      } else {
-        // Lost the wakeup race to another waiter; requeue this segment.
-        run->groups[group].push_back(seg);
-        ValueRunGroup(run, group);
-      }
-    });
-  }
-}
-
-void Compactor::ValueRunJoin(std::shared_ptr<ValueRun> run) {
-  if (--run->groups_pending > 0) return;
-  const LogSet& home = s_.home();
-  if (run->region_end > run->region_start && run->all_relocated) {
-    Status st = home.value_log->AdvanceHead(run->region_end);
-    (void)st;
-  }
-  if (s_.config().prefetch) IssueValuePrefetch();
-  value_running_ = false;
-  if (s_.config().compaction_gate) s_.config().compaction_gate->Release();
-  run->done(Status::Ok());
-  MaybeStart();
-}
-
-void Compactor::IssueValuePrefetch() {
-  const LogSet& home = s_.home();
-  const auto& cfg = s_.config();
-  uint64_t used = home.value_log->used();
-  if (used == 0) return;
-  uint64_t want = std::min<uint64_t>(cfg.compaction_chunk + 64 * 1024, used);
-  uint64_t start = home.value_log->head();
-  s_.m_.ssd_reads->Inc();
-  home.value_log->Read(start, want, [this, start](log::ReadResult r) {
-    if (!r.status.ok()) return;
-    value_prefetch_.valid = true;
-    value_prefetch_.offset = start;
-    value_prefetch_.data = std::move(r.data);
   });
 }
 

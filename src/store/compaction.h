@@ -1,35 +1,39 @@
 // Compaction for the LEED data store (paper §3.3.1).
 //
-// Key-log compaction processes a chunk at the log head: every segment with
-// a bucket in the chunk is *collapsed* — its whole chain is read, items are
-// merged newest-wins, tombstones and shadowed versions dropped, and the
-// segment is rewritten at the tail as one contiguous bucket array (a single
-// sequential append). Once every segment touched by the chunk has been
-// collapsed, nothing live remains there and the head advances.
+// Both circular logs compact with one lifecycle (Start .. Join/Finish):
+//   1. refuse with Busy if this log already has a run;
+//   2. size the span at the log head (nothing to do: done(Ok));
+//   3. take a CompactionGate slot (Fig. 13b), or refuse with Busy;
+//   4. use the span prefetched during the previous run, else read it;
+//   5. map the region to the segments it touches;
+//   6. partition them into S groups processed concurrently, overlapping
+//      their IOs (S-way sub-compactions, Fig. 13a);
+//   7. join: advance the head if every segment was rewritten, prefetch the
+//      next run's span (Fig. 13a setup), release the gate, call done, then
+//      start another run if a log is still over its threshold.
+// Finish is the one place a run releases its gate slot, on every exit.
 //
-// Value-log compaction walks the value entries in the head chunk, groups
-// them by owning segment, locks each segment, verifies liveness
-// (item.value_offset points back at the entry), re-appends the surviving
-// values in one batch, updates the items, rewrites the segment, and
-// advances the head. Old values stay readable until the head moves — the
-// property §3.3.1 relies on ("our log structure ensures that the old value
-// is still valid before committing").
-//
-// Both runs support the paper's two optimizations:
-//   * prefetching: run N issues the read for run N+1's chunk in the
-//     background, so the next run starts from DRAM (Fig. 13a setup);
-//   * S-way sub-compactions: the chunk's segments are partitioned into S
-//     groups processed concurrently, overlapping their IOs (Fig. 13a).
-//
-// Key compaction also merges back segments that data swapping (§3.6)
-// parked on donor SSDs, relocating their buckets *and values* home.
+// Only three things differ between the logs:
+//   * the span: a bucket-aligned chunk for the key log; the chunk plus
+//     kValueSpanSlack for the value log, so the entry straddling the
+//     chunk's end parses whole;
+//   * region -> segments: the key log decodes buckets and adds up to
+//     kSwapMergePerRun segments that data swapping (§3.6) parked on donor
+//     SSDs; the value log decodes value entries and groups them by segment;
+//   * the per-segment action: CollapseSegment for the key log — merge the
+//     chain newest-wins, pull swapped values home, rewrite the segment at
+//     the tail as one contiguous bucket array; RewriteLiveValues for the
+//     value log — re-append the region values a merged item still points
+//     at, then rewrite the segment. Old values stay readable until the head
+//     moves — the property §3.3.1 relies on ("our log structure ensures
+//     that the old value is still valid before committing").
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -45,42 +49,55 @@ class Compactor {
   // up. Returns true if anything started.
   bool MaybeStart();
 
-  bool running() const { return key_running_ || value_running_; }
-  bool key_running() const { return key_running_; }
-  bool value_running() const { return value_running_; }
+  bool running() const { return key_.running || value_.running; }
 
-  void StartKey(DataStore::OpCallback done);
-  void StartValue(DataStore::OpCallback done);
+  void StartKey(DataStore::OpCallback done) { Start(key_, std::move(done)); }
+  void StartValue(DataStore::OpCallback done) { Start(value_, std::move(done)); }
 
   // How many swapped segments one key run merges back at most.
   static constexpr size_t kSwapMergePerRun = 32;
 
  private:
-  struct Prefetch {
-    bool valid = false;
-    uint64_t offset = 0;
-    std::vector<uint8_t> data;
+  // Bytes a value run reads past its chunk so the last entry straddling
+  // the chunk boundary parses completely.
+  static constexpr uint64_t kValueSpanSlack = 64 * 1024;
+
+  // One log's compaction state.
+  struct Lane {
+    explicit Lane(bool key) : key_log(key) {}
+    const bool key_log;  // the key log; otherwise the value log
+    bool running = false;
+    // Run N+1's span, read in the background when run N ends, so the next
+    // run starts from DRAM (Fig. 13a setup).
+    struct Prefetch {
+      bool valid = false;
+      uint64_t offset = 0;
+      std::vector<uint8_t> data;
+    } prefetch;
   };
+  struct Run;
 
-  struct KeyRun;
-  struct ValueRun;
+  log::CircularLog& LogOf(const Lane& lane) const;
+  uint64_t Span(const Lane& lane) const;
 
-  void KeyRunWithRegion(std::shared_ptr<KeyRun> run, std::vector<uint8_t> region);
-  void KeyRunGroup(std::shared_ptr<KeyRun> run, size_t group);
-  void KeyRunJoin(std::shared_ptr<KeyRun> run);
+  void Start(Lane& lane, DataStore::OpCallback done);
+  void WithRegion(std::shared_ptr<Run> run, std::vector<uint8_t> region);
+  void RunGroup(std::shared_ptr<Run> run, size_t group);
+  void Join(std::shared_ptr<Run> run);
+  void Finish(Run& run, Status status);
+  void IssuePrefetch(Lane& lane);
 
-  void ValueRunWithRegion(std::shared_ptr<ValueRun> run, std::vector<uint8_t> region);
-  void ValueRunGroup(std::shared_ptr<ValueRun> run, size_t group);
-  void ValueRunJoin(std::shared_ptr<ValueRun> run);
+  // Region -> segments, per log.
+  std::vector<uint32_t> KeySegments(const std::vector<uint8_t>& region) const;
+  std::vector<uint32_t> ValueSegments(Run& run, const std::vector<uint8_t>& region);
 
-  // Collapse one segment: lock, read chain, merge, optionally relocate
-  // values home (swap merge-back), rewrite as a contiguous array, unlock.
-  // done(ok): ok==false means live data stayed at its old location and the
-  // caller must not advance the log head over it.
+  // Per-segment actions. done(ok): ok==false means live data stayed at its
+  // old location and the run must not advance the log head over it.
   void CollapseSegment(uint32_t segment_id, bool relocate_values,
                        std::function<void(bool)> done);
-  void CollapseLocked(uint32_t segment_id, bool relocate_values,
-                      std::function<void(bool)> done);
+  void RewriteLiveValues(std::shared_ptr<Run> run, uint32_t segment_id,
+                         std::function<void(bool)> done);
+
   void RelocateValues(uint32_t segment_id,
                       std::shared_ptr<std::vector<KeyItem>> merged, size_t index,
                       std::function<void()> done);
@@ -88,18 +105,9 @@ class Compactor {
                           std::shared_ptr<std::vector<KeyItem>> merged,
                           std::function<void(bool)> done);
 
-  // Merge a chain's items newest-wins; drops shadowed versions and
-  // tombstones. Chain is newest-first.
-  static std::vector<KeyItem> MergeChain(const std::vector<Bucket>& chain);
-
-  void IssueKeyPrefetch();
-  void IssueValuePrefetch();
-
   DataStore& s_;
-  bool key_running_ = false;
-  bool value_running_ = false;
-  Prefetch key_prefetch_;
-  Prefetch value_prefetch_;
+  Lane key_{true};
+  Lane value_{false};
 };
 
 }  // namespace leed::store

@@ -98,9 +98,7 @@ const LogSet& DataStore::TargetLogs() const {
 }
 
 void DataStore::UnlockAndPump(uint32_t segment_id) {
-  segtbl_.Unlock(segment_id, [this](std::function<void()> cont) {
-    sim_.Schedule(0, std::move(cont));
-  });
+  if (auto next = segtbl_.Unlock(segment_id)) sim_.Schedule(0, std::move(next));
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +297,7 @@ void DataStore::GetReadValue(std::shared_ptr<GetOp> op, const KeyItem& item) {
 }
 
 void DataStore::GetRetry(std::shared_ptr<GetOp> op) {
-  if (++op->attempts > config_.max_get_retries) {
+  if (++op->attempts > kMaxGetRetries) {
     GetFinish(op, Status::Internal("GET retry budget exhausted"), {});
     return;
   }
@@ -363,9 +361,8 @@ void DataStore::Del(std::string key, OpCallback callback) {
 
 void DataStore::PutAcquire(std::shared_ptr<PutOp> op) {
   op->segment = SegmentOf(op->key);
-  if (!segtbl_.TryLock(op->segment)) {
+  if (!TryLockOrWait(op->segment, [this, op] { PutAcquire(op); })) {
     m_.lock_waits->Inc();
-    segtbl_.WaitOnLock(op->segment, [this, op] { PutAcquire(op); });
     return;
   }
   PutReadHead(op);
@@ -550,16 +547,72 @@ void DataStore::PutFinish(std::shared_ptr<PutOp> op, Status status) {
 }
 
 // ---------------------------------------------------------------------------
+// Locked segment walk, shared by COPY and the range-index rebuild.
+// ---------------------------------------------------------------------------
+
+std::vector<KeyItem> MergeChain(const std::vector<Bucket>& chain) {
+  std::vector<KeyItem> merged;
+  std::set<std::string> seen;
+  for (const auto& b : chain) {  // newest-first
+    for (const auto& it : b.items) {
+      if (!seen.insert(it.key).second) continue;  // shadowed by newer version
+      if (it.IsTombstone()) continue;             // delete marker: drop
+      merged.push_back(it);
+    }
+  }
+  return merged;
+}
+
+struct DataStore::SegmentWalk {
+  SegmentVisitor visit;
+  OpCallback done;
+  uint32_t next_segment = 0;
+};
+
+void DataStore::WalkSegments(SegmentVisitor visit, OpCallback done) {
+  auto walk = std::make_shared<SegmentWalk>();
+  walk->visit = std::move(visit);
+  walk->done = std::move(done);
+  WalkStep(walk);
+}
+
+void DataStore::WalkStep(std::shared_ptr<SegmentWalk> walk) {
+  while (walk->next_segment < config_.num_segments &&
+         segtbl_.At(walk->next_segment).Empty()) {
+    ++walk->next_segment;
+  }
+  if (walk->next_segment >= config_.num_segments) {
+    walk->done(Status::Ok());
+    return;
+  }
+  const uint32_t seg = walk->next_segment;
+  if (!TryLockOrWait(seg, [this, walk] { WalkStep(walk); })) return;
+  const SegmentEntry& e = segtbl_.At(seg);
+  ReadChain(seg, e.ssd, e.offset, e.chain_len,
+            [this, walk, seg](Status st, std::vector<Bucket> chain) {
+    if (!st.ok()) {
+      UnlockAndPump(seg);
+      walk->done(st);
+      return;
+    }
+    walk->visit(MergeChain(chain), [this, walk, seg] {
+      UnlockAndPump(seg);
+      ++walk->next_segment;
+      // Yield to the event loop between segments so a walk does not
+      // monopolize the store.
+      sim_.Schedule(0, [this, walk] { WalkStep(walk); });
+    });
+  });
+}
+
+// ---------------------------------------------------------------------------
 // COPY (§3.8): stream live items out, one segment at a time, under the lock.
 // ---------------------------------------------------------------------------
 
 struct DataStore::CopyOp {
   std::function<bool(std::string_view)> want;
   ItemSink sink;
-  OpCallback done;
-  uint32_t next_segment = 0;
-  std::vector<Bucket> chain;
-  std::vector<KeyItem> live;
+  std::vector<KeyItem> live;  // the current segment's wanted items
   size_t value_index = 0;
 };
 
@@ -568,55 +621,22 @@ void DataStore::CopyOut(std::function<bool(std::string_view)> want, ItemSink sin
   auto op = std::make_shared<CopyOp>();
   op->want = std::move(want);
   op->sink = std::move(sink);
-  op->done = std::move(done);
-  CopyNextSegment(op);
+  WalkSegments(
+      [this, op](std::vector<KeyItem> items, std::function<void()> next) {
+        op->live.clear();
+        for (auto& item : items) {
+          if (op->want(item.key)) op->live.push_back(std::move(item));
+        }
+        op->value_index = 0;
+        CopyEmitValues(op, std::move(next));
+      },
+      std::move(done));
 }
 
-void DataStore::CopyNextSegment(std::shared_ptr<CopyOp> op) {
-  while (op->next_segment < config_.num_segments &&
-         segtbl_.At(op->next_segment).Empty()) {
-    ++op->next_segment;
-  }
-  if (op->next_segment >= config_.num_segments) {
-    op->done(Status::Ok());
-    return;
-  }
-  uint32_t seg = op->next_segment;
-  if (!segtbl_.TryLock(seg)) {
-    segtbl_.WaitOnLock(seg, [this, op] { CopyNextSegment(op); });
-    return;
-  }
-  const SegmentEntry& e = segtbl_.At(seg);
-  ReadChain(seg, e.ssd, e.offset, e.chain_len,
-            [this, op, seg](Status st, std::vector<Bucket> chain) {
-    if (!st.ok()) {
-      UnlockAndPump(seg);
-      op->done(st);
-      return;
-    }
-    // Newest-wins merge across the chain; keep wanted live items.
-    op->live.clear();
-    std::set<std::string> seen;
-    for (const auto& b : chain) {
-      for (const auto& it : b.items) {
-        if (!seen.insert(it.key).second) continue;
-        if (it.IsTombstone()) continue;
-        if (!op->want(it.key)) continue;
-        op->live.push_back(it);
-      }
-    }
-    op->value_index = 0;
-    CopyEmitValues(op);
-  });
-}
-
-void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op) {
-  uint32_t seg = op->next_segment;
+void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op,
+                               std::function<void()> next) {
   if (op->value_index >= op->live.size()) {
-    UnlockAndPump(seg);
-    ++op->next_segment;
-    // Yield to the event loop between segments so COPY does not monopolize.
-    sim_.Schedule(0, [this, op] { CopyNextSegment(op); });
+    next();
     return;
   }
   const KeyItem& item = op->live[op->value_index];
@@ -624,7 +644,8 @@ void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op) {
   uint32_t bytes = ValueEntryBytes(static_cast<uint32_t>(item.key.size()),
                                    item.value_len);
   m_.ssd_reads->Inc();
-  logs.value_log->Read(item.value_offset, bytes, [this, op](log::ReadResult r) {
+  logs.value_log->Read(item.value_offset, bytes,
+                       [this, op, next = std::move(next)](log::ReadResult r) mutable {
     if (r.status.ok()) {
       auto entry = DecodeValueEntry(r.data, 0);
       if (entry.ok()) {
@@ -632,7 +653,7 @@ void DataStore::CopyEmitValues(std::shared_ptr<CopyOp> op) {
       }
     }
     ++op->value_index;
-    CopyEmitValues(op);
+    CopyEmitValues(op, std::move(next));
   });
 }
 
@@ -676,7 +697,7 @@ void DataStore::ScanFetchStep(std::shared_ptr<ScanOp> op) {
     ScanFinish(op, Status::Ok());
     return;
   }
-  if (op->in_step >= config_.scan_step_items) {
+  if (op->in_step >= kScanStepItems) {
     // Yield so queued point ops interleave with a long scan.
     op->in_step = 0;
     sim_.Schedule(0, [this, op] { ScanFetchStep(op); });
@@ -733,89 +754,24 @@ void DataStore::ScanFinish(std::shared_ptr<ScanOp> op, Status status) {
             });
 }
 
-void DataStore::Scan(std::string start_key, uint32_t limit, ScanCallback callback) {
-  auto attempt = std::make_shared<uint32_t>(0);
-  auto run = std::make_shared<std::function<void()>>();
-  *run = [this, start_key = std::move(start_key), limit,
-          callback = std::move(callback), attempt,
-          wrun = std::weak_ptr<std::function<void()>>(run)] {
-    auto self = wrun.lock();
-    if (!self) return;
-    uint64_t snap_cycles = config_.costs.scan_index_per_item *
-                           std::max<uint64_t>(1, std::min<uint64_t>(limit, range_index_.size()));
-    core_.Run(Cycles(snap_cycles), [this, start_key, limit, callback, attempt, self] {
-      std::vector<ScanLoc> snapshot = ScanKeys(start_key, limit);
-      ScanFetch(std::move(snapshot),
-                [this, callback, attempt, self](Status st, std::vector<ScanItem> items) {
-                  if (st.IsBusy() && ++*attempt <= config_.max_get_retries) {
-                    (*self)();
-                    return;
-                  }
-                  callback(std::move(st), std::move(items));
-                });
-    });
-  };
-  (*run)();
-}
-
 // ---------------------------------------------------------------------------
 // Range-index rebuild (recovery's bucket scan; torture-test oracle).
 // ---------------------------------------------------------------------------
 
-struct DataStore::RebuildOp {
-  RangeIndex* out = nullptr;
-  std::function<void(Status, uint64_t)> done;
-  uint32_t next_segment = 0;
-  uint64_t live_items = 0;
-};
-
 void DataStore::RebuildRangeIndex(RangeIndex* out,
                                   std::function<void(Status, uint64_t)> done) {
-  auto op = std::make_shared<RebuildOp>();
-  op->out = out ? out : &range_index_;
-  op->done = std::move(done);
-  op->out->Clear();
-  RebuildNextSegment(op);
-}
-
-void DataStore::RebuildNextSegment(std::shared_ptr<RebuildOp> op) {
-  while (op->next_segment < config_.num_segments &&
-         segtbl_.At(op->next_segment).Empty()) {
-    ++op->next_segment;
-  }
-  if (op->next_segment >= config_.num_segments) {
-    op->done(Status::Ok(), op->live_items);
-    return;
-  }
-  uint32_t seg = op->next_segment;
-  if (!segtbl_.TryLock(seg)) {
-    segtbl_.WaitOnLock(seg, [this, op] { RebuildNextSegment(op); });
-    return;
-  }
-  const SegmentEntry& e = segtbl_.At(seg);
-  ReadChain(seg, e.ssd, e.offset, e.chain_len,
-            [this, op, seg](Status st, std::vector<Bucket> chain) {
-              UnlockAndPump(seg);
-              if (!st.ok()) {
-                op->done(st, op->live_items);
-                return;
-              }
-              // Newest-wins merge across the chain; tombstones shadow and
-              // are dropped — same discipline as compaction's MergeChain.
-              std::set<std::string> seen;
-              for (const auto& b : chain) {
-                for (const auto& it : b.items) {
-                  if (!seen.insert(it.key).second) continue;
-                  if (it.IsTombstone()) continue;
-                  op->out->Upsert(it.key,
-                                  {it.value_ssd, it.value_offset, it.value_len});
-                  ++op->live_items;
-                }
-              }
-              ++op->next_segment;
-              // Yield between segments, like CopyOut.
-              sim_.Schedule(0, [this, op] { RebuildNextSegment(op); });
-            });
+  RangeIndex* index = out ? out : &range_index_;
+  index->Clear();
+  auto live_items = std::make_shared<uint64_t>(0);
+  WalkSegments(
+      [index, live_items](std::vector<KeyItem> items, std::function<void()> next) {
+        for (const auto& it : items) {
+          index->Upsert(it.key, {it.value_ssd, it.value_offset, it.value_len});
+        }
+        *live_items += items.size();
+        next();
+      },
+      [live_items, done = std::move(done)](Status st) { done(st, *live_items); });
 }
 
 void DataStore::RepairIndexLocation(const std::string& key,
@@ -828,80 +784,81 @@ void DataStore::RepairIndexLocation(const std::string& key,
 // Chain reader shared with the compactor.
 // ---------------------------------------------------------------------------
 
+struct DataStore::ChainRead {
+  uint32_t segment_id = 0;
+  std::vector<Bucket> buckets;  // newest-first
+  ChainCallback cb;
+};
+
 void DataStore::ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
-                          uint8_t chain_len,
-                          std::function<void(Status, std::vector<Bucket>)> cb) {
+                          uint8_t chain_len, ChainCallback cb) {
   if (chain_len == 0) {
     cb(Status::Ok(), {});
     return;
   }
-  auto acc = std::make_shared<std::vector<Bucket>>();
-  auto step = std::make_shared<std::function<void(uint8_t, uint64_t, uint8_t)>>();
-  // The closure holds itself only weakly; pending IO callbacks hold the
-  // strong reference, so the last completion releases the whole chain
-  // (capturing `step` strongly here would leak it as a reference cycle).
-  *step = [this, segment_id, acc, wstep = std::weak_ptr<
-               std::function<void(uint8_t, uint64_t, uint8_t)>>(step),
-           cb](uint8_t cur_ssd, uint64_t cur_off, uint8_t remaining) {
-    auto self = wstep.lock();
-    if (!self) return;
-    const LogSet& logs = log_sets_.at(cur_ssd);
+  auto read = std::make_shared<ChainRead>();
+  read->segment_id = segment_id;
+  read->cb = std::move(cb);
+  ReadChainFrom(read, ssd, offset, chain_len);
+}
+
+void DataStore::ReadChainFrom(std::shared_ptr<ChainRead> read, uint8_t ssd,
+                              uint64_t offset, uint8_t remaining) {
+  const LogSet& logs = log_sets_.at(ssd);
+  m_.ssd_reads->Inc();
+  logs.key_log->Read(offset, config_.bucket_size, [this, read,
+                                                   remaining](log::ReadResult r) {
+    if (!r.status.ok()) {
+      read->cb(r.status, {});
+      return;
+    }
+    auto b = DecodeBucket(r.data, 0, config_.bucket_size);
+    if (!b.ok()) {
+      read->cb(b.status(), {});
+      return;
+    }
+    Bucket bucket = std::move(b).value();
+    if (bucket.header.segment_id != read->segment_id) {
+      read->cb(Status::Corruption("chain walk hit foreign bucket"), {});
+      return;
+    }
+    BucketHeader hdr = bucket.header;
+    read->buckets.push_back(std::move(bucket));
+    if (remaining <= 1) {
+      read->cb(Status::Ok(), std::move(read->buckets));
+      return;
+    }
+    if (!hdr.contiguous) {
+      ReadChainFrom(read, hdr.prev_ssd, hdr.prev_offset,
+                    static_cast<uint8_t>(remaining - 1));
+      return;
+    }
+    // One IO for the whole contiguous remainder.
+    const LogSet& rest_logs = log_sets_.at(hdr.prev_ssd);
+    uint64_t bytes = static_cast<uint64_t>(remaining - 1) * config_.bucket_size;
     m_.ssd_reads->Inc();
-    logs.key_log->Read(cur_off, config_.bucket_size,
-                       [this, segment_id, acc, step = self, cb,
-                        remaining](log::ReadResult r) {
-      if (!r.status.ok()) {
-        cb(r.status, {});
+    rest_logs.key_log->Read(hdr.prev_offset, bytes, [this, read,
+                                                     remaining](log::ReadResult rr) {
+      if (!rr.status.ok()) {
+        read->cb(rr.status, {});
         return;
       }
-      auto b = DecodeBucket(r.data, 0, config_.bucket_size);
-      if (!b.ok()) {
-        cb(b.status(), {});
-        return;
+      for (uint8_t i = 0; i + 1 < remaining; ++i) {
+        auto bb = DecodeBucket(rr.data, static_cast<size_t>(i) * config_.bucket_size,
+                               config_.bucket_size);
+        if (!bb.ok()) {
+          read->cb(bb.status(), {});
+          return;
+        }
+        if (bb.value().header.segment_id != read->segment_id) {
+          read->cb(Status::Corruption("contiguous remainder hit foreign bucket"), {});
+          return;
+        }
+        read->buckets.push_back(std::move(bb).value());
       }
-      Bucket bucket = std::move(b).value();
-      if (bucket.header.segment_id != segment_id) {
-        cb(Status::Corruption("chain walk hit foreign bucket"), {});
-        return;
-      }
-      BucketHeader hdr = bucket.header;
-      acc->push_back(std::move(bucket));
-      if (remaining <= 1) {
-        cb(Status::Ok(), std::move(*acc));
-        return;
-      }
-      if (hdr.contiguous) {
-        // One IO for the whole remainder.
-        const LogSet& rest_logs = log_sets_.at(hdr.prev_ssd);
-        uint64_t bytes = static_cast<uint64_t>(remaining - 1) * config_.bucket_size;
-        m_.ssd_reads->Inc();
-        rest_logs.key_log->Read(hdr.prev_offset, bytes,
-                                [this, segment_id, acc, cb, remaining](log::ReadResult rr) {
-          if (!rr.status.ok()) {
-            cb(rr.status, {});
-            return;
-          }
-          for (uint8_t i = 0; i + 1 < remaining; ++i) {
-            auto bb = DecodeBucket(rr.data, static_cast<size_t>(i) * config_.bucket_size,
-                                   config_.bucket_size);
-            if (!bb.ok()) {
-              cb(bb.status(), {});
-              return;
-            }
-            if (bb.value().header.segment_id != segment_id) {
-              cb(Status::Corruption("contiguous remainder hit foreign bucket"), {});
-              return;
-            }
-            acc->push_back(std::move(bb).value());
-          }
-          cb(Status::Ok(), std::move(*acc));
-        });
-      } else {
-        (*step)(hdr.prev_ssd, hdr.prev_offset, static_cast<uint8_t>(remaining - 1));
-      }
+      read->cb(Status::Ok(), std::move(read->buckets));
     });
-  };
-  (*step)(ssd, offset, chain_len);
+  });
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -81,12 +82,6 @@ struct StoreConfig {
   double compaction_threshold = 0.70;  // trigger on used fraction
   uint64_t compaction_chunk = 256 * 1024;  // bytes of log head per run
   uint32_t subcompactions = 8;         // S-way intra-parallelism (Fig 13a)
-  bool prefetch = true;                // prefetch run N+1's chunk during N
-  uint32_t max_get_retries = 4;
-  // SCAN fetch pacing: value reads issued per scheduled step before the op
-  // yields to the event loop, so long scans interleave with point ops
-  // deterministically (same discipline as CopyOut's per-segment yield).
-  uint32_t scan_step_items = 8;
   CpuCosts costs;
   double ipc_factor = 1.0;
   // Fixed latency of the host-bypass offload engine (Scalio-style): the NIC
@@ -103,6 +98,21 @@ struct StoreConfig {
   obs::Registry* metrics_registry = nullptr;
   std::string metrics_prefix;
 };
+
+// Re-lookups a GET may take after compaction reclaimed its chain or value
+// under it; the re-lookup sees the relocated offsets.
+inline constexpr uint32_t kMaxGetRetries = 4;
+
+// SCAN fetch pacing: value reads issued per scheduled step before the op
+// yields to the event loop, so long scans interleave with point ops
+// deterministically (same discipline as CopyOut's per-segment yield).
+inline constexpr uint32_t kScanStepItems = 8;
+
+// Merge a segment's chain (newest-first) newest-wins: the newest version of
+// each key survives, shadowed versions and tombstones are dropped. The
+// store's one merge — compaction, COPY and the range-index rebuild all use
+// it.
+std::vector<KeyItem> MergeChain(const std::vector<Bucket>& chain);
 
 // A key/value circular-log pair living on one SSD.
 struct LogSet {
@@ -185,18 +195,13 @@ class DataStore {
   // committed PUT/DEL. The caller charges scan_index_per_item cycles.
   std::vector<ScanLoc> ScanKeys(std::string_view start, uint32_t limit) const;
 
-  // Phase 2: fetch the snapshot's value-log entries, scan_step_items per
+  // Phase 2: fetch the snapshot's value-log entries, kScanStepItems per
   // event-loop step. Locations are immutable log offsets; if compaction
   // reclaimed one under the snapshot (read rejected, or the entry's key
-  // echo mismatches), the fetch fails with kBusy and the caller re-snapshots
-  // — see Scan() for the bounded-retry composition.
+  // echo mismatches), the fetch fails with kBusy and the caller re-snapshots.
+  // The node layer runs the two phases separately, with its CRRS
+  // dirty-window check between them (Node::HandleRead, ServeScanLocally).
   void ScanFetch(std::vector<ScanLoc> snapshot, ScanCallback callback);
-
-  // Snapshot + fetch with bounded internal restarts (max_get_retries), the
-  // convenience composition used by tests and baselines. The cluster path
-  // splits the phases so the node layer can run its CRRS dirty-window check
-  // between them (node.cc HandleScan).
-  void Scan(std::string start_key, uint32_t limit, ScanCallback callback);
 
   const RangeIndex& range_index() const { return range_index_; }
 
@@ -218,7 +223,6 @@ class DataStore {
 
   StoreStats stats() const;
   void ResetStats() { scope_.ResetInstruments(); }
-  const obs::Scope& metrics_scope() const { return scope_; }
   const StoreConfig& config() const { return config_; }
   const SegmentTable& segments() const { return segtbl_; }
   SegmentTable& segments() { return segtbl_; }
@@ -272,21 +276,24 @@ class DataStore {
   void PutCommit(std::shared_ptr<PutOp> op);
   void PutFinish(std::shared_ptr<PutOp> op, Status status);
 
+  // --- Locked segment walk (COPY, range-index rebuild) ---
+  // Visits each non-empty segment in id order: lock it, read and merge its
+  // chain, hand the live items to `visit`, and once `visit` calls its
+  // continuation, unlock and yield to the event loop before the next one.
+  using SegmentVisitor =
+      std::function<void(std::vector<KeyItem> items, std::function<void()> next)>;
+  struct SegmentWalk;
+  void WalkSegments(SegmentVisitor visit, OpCallback done);
+  void WalkStep(std::shared_ptr<SegmentWalk> walk);
+
   // --- COPY machine ---
   struct CopyOp;
-  void CopyNextSegment(std::shared_ptr<CopyOp> op);
-  void CopyReadChain(std::shared_ptr<CopyOp> op, uint8_t ssd, uint64_t offset,
-                     uint8_t remaining);
-  void CopyEmitValues(std::shared_ptr<CopyOp> op);
+  void CopyEmitValues(std::shared_ptr<CopyOp> op, std::function<void()> next);
 
   // --- SCAN machine ---
   struct ScanOp;
   void ScanFetchStep(std::shared_ptr<ScanOp> op);
   void ScanFinish(std::shared_ptr<ScanOp> op, Status status);
-
-  // --- range-index rebuild (recovery / torture oracle) ---
-  struct RebuildOp;
-  void RebuildNextSegment(std::shared_ptr<RebuildOp> op);
 
   // Compaction/swap repair: repoint the index entry for `key` from the old
   // value location to the new one (no-op if a newer PUT superseded it).
@@ -296,10 +303,23 @@ class DataStore {
   // Chain read helper shared with the compactor: reads the full chain of a
   // segment into buckets (newest-first). Must be called with seg locked or
   // from a context that tolerates relocation retries.
+  using ChainCallback = std::function<void(Status, std::vector<Bucket>)>;
   void ReadChain(uint32_t segment_id, uint8_t ssd, uint64_t offset,
-                 uint8_t chain_len,
-                 std::function<void(Status, std::vector<Bucket>)> cb);
+                 uint8_t chain_len, ChainCallback cb);
+  struct ChainRead;
+  void ReadChainFrom(std::shared_ptr<ChainRead> read, uint8_t ssd,
+                     uint64_t offset, uint8_t remaining);
 
+  // Take `segment_id`'s lock bit and return true, or park `retry` until the
+  // holder releases it and return false. The retry re-enters the caller's
+  // own acquire step, so it re-checks whatever it checked before locking.
+  template <typename Retry>
+  bool TryLockOrWait(uint32_t segment_id, Retry&& retry) {
+    if (segtbl_.TryLock(segment_id)) return true;
+    segtbl_.WaitOnLock(segment_id, std::forward<Retry>(retry));
+    return false;
+  }
+  // Release the lock bit and schedule its next waiter, if any, at +0.
   void UnlockAndPump(uint32_t segment_id);
 
   sim::Simulator& sim_;

@@ -12,16 +12,14 @@ bool SegmentTable::TryLock(uint32_t segment_id) {
   return true;
 }
 
-void SegmentTable::Unlock(uint32_t segment_id,
-                          const std::function<void(std::function<void()>)>& resume) {
-  SegmentEntry& e = entries_[segment_id];
-  e.locked = false;
+std::function<void()> SegmentTable::Unlock(uint32_t segment_id) {
+  entries_[segment_id].locked = false;
   auto it = waiters_.find(segment_id);
-  if (it == waiters_.end() || it->second.empty()) return;
+  if (it == waiters_.end()) return {};
   auto cont = std::move(it->second.front());
   it->second.pop_front();
   if (it->second.empty()) waiters_.erase(it);
-  resume(std::move(cont));
+  return cont;
 }
 
 void SegmentTable::WaitOnLock(uint32_t segment_id, std::function<void()> cont) {

@@ -54,10 +54,11 @@ class SegmentTable {
   // Try to take the lock bit; returns false if already held.
   bool TryLock(uint32_t segment_id);
 
-  // Release the lock and resume the first waiter (if any). The waiter is
-  // responsible for re-acquiring — lock handoff is not implicit, matching
-  // a retried state machine rather than ownership transfer.
-  void Unlock(uint32_t segment_id, const std::function<void(std::function<void()>)>& resume);
+  // Release the lock and hand back the first waiter (empty if none) for the
+  // caller to schedule. The waiter is responsible for re-acquiring — lock
+  // handoff is not implicit, matching a retried state machine rather than
+  // ownership transfer.
+  std::function<void()> Unlock(uint32_t segment_id);
 
   // Park a continuation until the segment unlocks.
   void WaitOnLock(uint32_t segment_id, std::function<void()> cont);

@@ -242,13 +242,8 @@ TEST(SegmentTableTest, LockBitBasics) {
   EXPECT_TRUE(tbl.TryLock(3));
   EXPECT_FALSE(tbl.TryLock(3));
   EXPECT_TRUE(tbl.IsLocked(3));
-  int resumed = 0;
-  tbl.Unlock(3, [&](std::function<void()> fn) {
-    resumed++;
-    fn();
-  });
+  EXPECT_FALSE(tbl.Unlock(3));  // no waiters
   EXPECT_FALSE(tbl.IsLocked(3));
-  EXPECT_EQ(resumed, 0);  // no waiters
 }
 
 TEST(SegmentTableTest, WaitersResumeFifoOnePerUnlock) {
@@ -259,13 +254,19 @@ TEST(SegmentTableTest, WaitersResumeFifoOnePerUnlock) {
   tbl.WaitOnLock(1, [&] { order.push_back(2); });
   EXPECT_EQ(tbl.waiters(1), 2u);
 
-  auto run_now = [](std::function<void()> fn) { fn(); };
-  tbl.Unlock(1, run_now);
+  auto next = tbl.Unlock(1);
+  ASSERT_TRUE(next);
+  EXPECT_TRUE(order.empty());  // handed back, not run
+  next();
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_EQ(tbl.waiters(1), 1u);
   ASSERT_TRUE(tbl.TryLock(1));
-  tbl.Unlock(1, run_now);
+  next = tbl.Unlock(1);
+  ASSERT_TRUE(next);
+  next();
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(tbl.waiters(1), 0u);
+  EXPECT_FALSE(tbl.Unlock(1));
 }
 
 TEST(SegmentTableTest, MaxChainFromBits) {
